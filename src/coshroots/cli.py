@@ -10,12 +10,18 @@ Absent values are empty CSV cells / JSON nulls, never 0.
 Exit codes: 0 success, 1 domain error, 2 solver failure, 64 usage error.
 Output is built in full before printing, so a failure never emits a
 partial table.
+
+``main()`` builds its argument parser on the first call and reuses it for
+every later call in the same process; parsing keeps no state between
+calls.  ``build_parser()`` returns a fresh parser for callers who want to
+customise one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -135,7 +141,8 @@ def _jsonable(value: Any, digits: int) -> Any:
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
-        return float(f"{value:.{digits}g}")
+        # 17 significant digits round-trip every double exactly
+        return value if digits >= 17 else float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _jsonable(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -418,6 +425,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the seven commands."""
     parser = _Parser(
         prog="coshroots",
         description="Classify, bracket, and solve a**x + a**(-x) = x.",
@@ -489,8 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         output = args.func(args)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .core import (
     BaseParameter,
     ClassificationTag,
-    CriticalConstants,
     RootBracket,
     SolutionClassification,
     bounds_x2_refined,
@@ -89,11 +88,10 @@ class RootResult:
 class SolveReport:
     """Full outcome of solve_all: classification, roots sorted ascending
     (two entries for the two-root regime, one for the analytic single-root
-    cases, none when no root exists), and the constants used."""
+    cases, none when no root exists)."""
 
     classification: SolutionClassification
     roots: tuple[RootResult, ...]
-    constants_used: CriticalConstants
 
 
 class SolverError(Exception):
@@ -381,7 +379,7 @@ def solve_all(
             RootResult(x2, f_value(base, x2), it2, b2),
         )
 
-    return SolveReport(classification=outcome, roots=roots, constants_used=constants)
+    return SolveReport(classification=outcome, roots=roots)
 
 
 def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from coshroots import critical_constants, x_star, BaseParameter
+import coshroots.cli as cli
+from coshroots import critical_constants, solve_all, x_star, BaseParameter
 from coshroots.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -379,3 +380,92 @@ class TestExitCodesAndFormats:
         report = solve_all(BaseParameter(0.9))
         assert float(rec["x1"]) == report.roots[0].x
         assert float(rec["x2"]) == report.roots[1].x
+
+
+class TestSharedParser:
+    """main() reuses one parser per process; no call may leak into the next."""
+
+    SEQUENCE = (
+        ("solve", "--a", "0.9", "--verify", "--tol", "1e-10"),
+        ("solve", "--a", "0.9"),
+        ("sweep", "--a-lo", "0.8"),
+        ("classify", "--a", "0.9"),
+        ("--help",),
+        ("solve", "--a", "0.9", "--format", "json"),
+    )
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        shared = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert "verified" in parse_csv(shared[0][1])[0]
+        assert "verified" not in parse_csv(shared[1][1])[0]
+        assert "verified" not in json.loads(shared[5][1])["records"][0]
+        assert cli._parser().parse_args(["solve", "--a", "0.9"]).tol is None
+
+    def test_main_builds_parser_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for argv in self.SEQUENCE:
+                run_cli(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestJsonRoundTrip:
+    """--full-precision JSON parses back to exactly the doubles solve_all
+    returned, near the regime edges and at a large x2 alike."""
+
+    C = critical_constants()
+
+    @staticmethod
+    def assert_matches_solve_all(rec):
+        report = solve_all(BaseParameter(rec["a"]))
+        want = [r.x for r in report.roots]
+        assert [rec["x1"], rec["x2"]] == want + [None] * (2 - len(want))
+        return report
+
+    @pytest.mark.parametrize(
+        "a", [C.a_min * (1 + 1e-6), 0.9, 0.995, C.a_max * (1 - 1e-6)]
+    )
+    def test_solve(self, capsys, a):
+        code, out, _ = run_cli(
+            capsys, "solve", "--a", repr(a), "--full-precision", "--format", "json"
+        )
+        assert code == EXIT_OK
+        (rec,) = json.loads(out)["records"]
+        assert rec["a"] == a
+        report = self.assert_matches_solve_all(rec)
+        assert [rec["x1_residual"], rec["x2_residual"]] == [
+            r.residual for r in report.roots
+        ]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(C.a_min, C.a_min * 1.001), (0.99, 0.995), (C.a_max * 0.999, C.a_max)],
+    )
+    def test_sweep(self, capsys, lo, hi):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--a-lo", repr(lo), "--a-hi", repr(hi),
+            "--steps", "11", "--full-precision", "--format", "json",
+        )
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert [rec["status"] for rec in records] == ["ok"] * 11
+        for rec in records:
+            self.assert_matches_solve_all(rec)
