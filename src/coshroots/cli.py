@@ -26,13 +26,11 @@ import io
 import json
 import math
 import sys
-from typing import Any, TypedDict
+from typing import Any
 
 from .core import (
     BaseParameter,
     ClassificationTag,
-    bounds_x1,
-    bounds_x2_initial,
     bounds_x2_refined,
     classify,
     critical_constants,
@@ -41,6 +39,7 @@ from .core import (
 )
 from .oracle import min_scan, scan_roots
 from .solvers import (
+    SolveReport,
     SolverConfig,
     SolverError,
     newton_refine,
@@ -60,34 +59,6 @@ TABLE_BASES = (0.6, 0.75, 0.9, 1.08, 1.39)
 # Grid used by --verify and the sweep's x2-divergence cutoff.
 _VERIFY_GRID = 100_001
 _X2_OVERFLOW_LIMIT = 1e9
-
-
-class OutputRecord(TypedDict, total=False):
-    """One emitted row: a base, its classification, and whichever roots,
-    brackets, residuals, and markers the command produces.  Absent values
-    are None and serialize as empty CSV cells / JSON nulls, never 0."""
-
-    a: float
-    classification: str
-    root: float | None
-    x1: float | None
-    x2: float | None
-    x1_residual: float | None
-    x2_residual: float | None
-    x1_iterations: int | None
-    x2_iterations: int | None
-    x1_lo: float | None
-    x1_hi: float | None
-    x2_lo: float | None
-    x2_hi: float | None
-    x2_lo_initial: float | None
-    x2_hi_initial: float | None
-    x2_lo_refined: float | None
-    x2_hi_refined: float | None
-    by_convention: bool
-    verified: bool | None
-    status: str
-    inverted: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,9 +164,10 @@ def _cmd_constants(args: argparse.Namespace) -> str:
     )
 
 
-def _classification_record(base: BaseParameter) -> OutputRecord:
+def _cmd_classify(args: argparse.Namespace) -> str:
+    base = BaseParameter(args.a)
     outcome = classify(base)
-    record: OutputRecord = {
+    record: dict[str, Any] = {
         "a": base.a,
         "classification": outcome.tag.value,
         "root": outcome.root,
@@ -208,39 +180,32 @@ def _classification_record(base: BaseParameter) -> OutputRecord:
     if outcome.brackets is not None:
         b1, b2 = outcome.brackets
         record.update(x1_lo=b1.lo, x1_hi=b1.hi, x2_lo=b2.lo, x2_hi=b2.hi)
-    return record
-
-
-def _cmd_classify(args: argparse.Namespace) -> str:
-    record = _classification_record(BaseParameter(args.a))
     return _emit("classify", list(record), [record], args.format, _digits(args))
 
 
 def _verify_against_scan(
-    base: BaseParameter, roots: list[float], config: SolverConfig
+    base: BaseParameter, report: SolveReport, config: SolverConfig
 ) -> bool | None:
     if base.a == 0.0:
         return None  # the scan cannot evaluate f at a = 0
     x_hi = 10.0
     if base.ln_a != 0.0:
         x_hi = max(10.0, 3.0 * x_star(base))
-    outcome = classify(base)
-    if outcome.tag is ClassificationTag.TANGENT_ROOT:
+    if report.classification.tag is ClassificationTag.TANGENT_ROOT:
         _, f_min = min_scan(base, -10.0, x_hi, _VERIFY_GRID)
         return abs(f_min) <= 1e-6
     scan = scan_roots(base, -10.0, x_hi, _VERIFY_GRID, config)
-    found = list(scan.refined_roots)
-    if len(found) != len(roots):
+    if len(scan.refined_roots) != len(report.roots):
         return False
-    return all(abs(s - r) <= 1e-6 for s, r in zip(found, sorted(roots)))
+    return all(abs(s - r.x) <= 1e-6 for s, r in zip(scan.refined_roots, report.roots))
 
 
 def _cmd_solve(args: argparse.Namespace) -> str:
     base = BaseParameter(args.a)
     config = SolverConfig(abs_tol=args.tol) if args.tol is not None else SolverConfig()
     report = solve_all(base, config)
-    roots = list(report.roots)
-    record: OutputRecord = {
+    roots = report.roots
+    record: dict[str, Any] = {
         "a": base.a,
         "classification": report.classification.tag.value,
         "x1": roots[0].x if roots else None,
@@ -251,9 +216,7 @@ def _cmd_solve(args: argparse.Namespace) -> str:
         "x2_iterations": roots[1].iterations if len(roots) > 1 else None,
     }
     if args.verify:
-        record["verified"] = _verify_against_scan(
-            base, [r.x for r in roots], config
-        )
+        record["verified"] = _verify_against_scan(base, report, config)
     return _emit("solve", list(record), [record], args.format, _digits(args))
 
 
@@ -271,8 +234,7 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
         "x2_hi_refined": None,
     }
     if outcome.tag is ClassificationTag.TWO_ROOTS:
-        b1 = bounds_x1()
-        b2 = bounds_x2_initial(base)
+        b1, b2 = outcome.brackets
         record.update(
             x1_lo=b1.lo, x1_hi=b1.hi, x2_lo_initial=b2.lo, x2_hi_initial=b2.hi
         )
@@ -282,12 +244,13 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
     return _emit("bounds", list(record), [record], args.format, _digits(args))
 
 
-def _table_records() -> list[OutputRecord]:
+def _table_records() -> list[dict[str, Any]]:
     records = []
     for a in TABLE_BASES:
         base = BaseParameter(a)
-        outcome = classify(base)
-        record: OutputRecord = {
+        report = solve_all(base)
+        outcome = report.classification
+        record: dict[str, Any] = {
             "a": a,
             "classification": outcome.tag.value,
             "x1": None,
@@ -299,9 +262,8 @@ def _table_records() -> list[OutputRecord]:
             "inverted": False,
         }
         if outcome.tag is ClassificationTag.TWO_ROOTS:
-            report = solve_all(base)
             x1, x2 = (r.x for r in report.roots)
-            initial = bounds_x2_initial(base)
+            _, initial = outcome.brackets
             refined = bounds_x2_refined(base, x1)
             record.update(
                 x1=x1,
@@ -363,41 +325,37 @@ def _cmd_curve(args: argparse.Namespace) -> str:
     return _emit("curve", ["x", y_name], records, args.format, _digits(args))
 
 
-def _sweep_record(base: BaseParameter, config: SolverConfig) -> OutputRecord:
+def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
     outcome = classify(base)
-    record: OutputRecord = {
+    tag = outcome.tag
+    record: dict[str, Any] = {
         "a": base.a,
-        "classification": outcome.tag.value,
+        "classification": tag.value,
         "status": "ok",
         "x1": None,
         "x2": None,
     }
-    tag = outcome.tag
     if tag is ClassificationTag.NO_ROOT:
         record["status"] = "no_root"
-    elif tag is not ClassificationTag.TWO_ROOTS:
+        return record
+    if tag is not ClassificationTag.TWO_ROOTS:
         record["x1"] = outcome.root
+        return record
+    b1, b2_initial = outcome.brackets
+    if b2_initial.hi > _X2_OVERFLOW_LIMIT:
+        # x2 diverges as a -> 1; don't emit an unreliable float
+        record["status"] = "x2_overflow"
     else:
-        b1, b2_initial = outcome.brackets
-
-        def _x1_only() -> None:
-            try:
-                record["x1"], _ = newton_refine(base, b1.midpoint, b1, config)
-            except SolverError:
-                record["status"] = "solver_error"
-
-        if b2_initial.hi > _X2_OVERFLOW_LIMIT:
-            # x2 diverges as a -> 1; don't emit an unreliable float
-            record["status"] = "x2_overflow"
-            _x1_only()
-        else:
-            try:
-                report = solve_all(base, config)
-                record["x1"] = report.roots[0].x
-                record["x2"] = report.roots[1].x
-            except SolverError:
-                record["status"] = "solver_error"
-                _x1_only()
+        try:
+            record["x1"], record["x2"] = (r.x for r in solve_all(base, config).roots)
+            return record
+        except SolverError:
+            record["status"] = "solver_error"
+    # x2 is skipped or failed: report x1 alone
+    try:
+        record["x1"], _ = newton_refine(base, b1.midpoint, b1, config)
+    except SolverError:
+        record["status"] = "solver_error"
     return record
 
 

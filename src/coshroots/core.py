@@ -198,16 +198,11 @@ class BracketProvenance(enum.Enum):
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Closed interval guaranteed to contain exactly one root.
-
-    ``tangent`` marks brackets around a double root, where the endpoint
-    values do not change sign.
-    """
+    """Closed interval guaranteed to contain exactly one root."""
 
     lo: float
     hi: float
     provenance: BracketProvenance
-    tangent: bool = False
 
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):

@@ -67,8 +67,8 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.x_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.x_tol < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -184,7 +184,8 @@ def bisect(
 
     Returns (x, iterations) with final bracket width <= x_tol*max(1, |x|).
     Raises BracketError when f does not change sign across the (slightly
-    widened) bracket.
+    widened) bracket.  The library itself solves with ``newton_refine``;
+    this stays public as the independent reference its tests check it by.
     """
     cfg = config if config is not None else SolverConfig()
     lo, hi = _widened(bracket)

@@ -9,6 +9,7 @@ import math
 import pytest
 
 import coshroots.cli as cli
+import coshroots.solvers as solvers
 from coshroots import critical_constants, solve_all, x_star, BaseParameter
 from coshroots.cli import (
     EXIT_DOMAIN,
@@ -469,3 +470,41 @@ class TestJsonRoundTrip:
         assert [rec["status"] for rec in records] == ["ok"] * 11
         for rec in records:
             self.assert_matches_solve_all(rec)
+
+
+class TestOneClassification:
+    """Each command classifies each base once and builds its rows from that
+    one result, whether it came from classify or from solve_all."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (("solve", "--a", "0.9", "--verify"), 1),
+            (("table",), 5),
+            (("bounds", "--a", "1.08", "--x1", "2.0243"), 1),
+            (("classify", "--a", "0.9"), 1),
+        ],
+        ids=["solve-verify", "table", "bounds", "classify"],
+    )
+    def test_classify_calls(self, capsys, monkeypatch, argv, calls):
+        bases = []
+        for module in (cli, solvers):
+            real = module.classify
+
+            def counting(base, *args, _real=real, **kwargs):
+                bases.append(base.a)
+                return _real(base, *args, **kwargs)
+
+            monkeypatch.setattr(module, "classify", counting)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and out
+        assert len(bases) == calls
+        assert len(set(bases)) == calls
+
+
+class TestNonFiniteTolerance:
+    def test_infinite_tol_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--a", "0.9", "--tol", "inf")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err

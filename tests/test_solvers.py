@@ -53,6 +53,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"abs_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"x_tol": math.inf},
+            {"x_tol": math.nan},
+        ],
+    )
+    def test_non_finite_tolerances_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**kwargs)
+
 
 class TestBisect:
     def test_first_root_075(self):
