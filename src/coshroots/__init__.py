@@ -10,7 +10,8 @@ Layout: :mod:`coshroots.core` holds the function family, constants,
 classification, and analytic brackets; :mod:`coshroots.solvers` the
 bracketed solvers, dispatcher, and the Lambert-W baseline for a**x = x;
 :mod:`coshroots.oracle` an independent brute-force root scan used for
-validation; :mod:`coshroots.cli` the command-line interface.
+validation (import it by name; it is the one module that needs numpy);
+:mod:`coshroots.cli` the command-line interface.
 """
 
 from .core import (
@@ -33,7 +34,6 @@ from .core import (
     f_value,
     x_star,
 )
-from .oracle import ScanResult, min_scan, scan_roots
 from .solvers import (
     BracketError,
     ConvergenceError,
@@ -59,7 +59,6 @@ __all__ = [
     "CriticalConstants",
     "RootBracket",
     "RootResult",
-    "ScanResult",
     "SolutionClassification",
     "SolveReport",
     "SolverConfig",
@@ -77,9 +76,7 @@ __all__ = [
     "f_derivative",
     "f_value",
     "lambert_w_principal",
-    "min_scan",
     "newton_refine",
-    "scan_roots",
     "solve_all",
     "solve_exp_fixed_point",
     "x_star",

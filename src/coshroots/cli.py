@@ -183,9 +183,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     return _emit("classify", list(record), [record], args.format, _digits(args))
 
 
-def _verify_against_scan(
-    base: BaseParameter, report: SolveReport, config: SolverConfig
-) -> bool | None:
+def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | None:
     if base.a == 0.0:
         return None  # the scan cannot evaluate f at a = 0
     x_hi = 10.0
@@ -194,7 +192,7 @@ def _verify_against_scan(
     if report.classification.tag is ClassificationTag.TANGENT_ROOT:
         _, f_min = min_scan(base, -10.0, x_hi, _VERIFY_GRID)
         return abs(f_min) <= 1e-6
-    scan = scan_roots(base, -10.0, x_hi, _VERIFY_GRID, config)
+    scan = scan_roots(base, -10.0, x_hi, _VERIFY_GRID)
     if len(scan.refined_roots) != len(report.roots):
         return False
     return all(abs(s - r.x) <= 1e-6 for s, r in zip(scan.refined_roots, report.roots))
@@ -216,7 +214,7 @@ def _cmd_solve(args: argparse.Namespace) -> str:
         "x2_iterations": roots[1].iterations if len(roots) > 1 else None,
     }
     if args.verify:
-        record["verified"] = _verify_against_scan(base, report, config)
+        record["verified"] = _verify_against_scan(base, report)
     return _emit("solve", list(record), [record], args.format, _digits(args))
 
 
@@ -308,7 +306,7 @@ def _cmd_curve(args: argparse.Namespace) -> str:
         raise ValueError("curve is undefined for a = 0")
     if args.coth_view and base.ln_a == 0.0:
         raise ValueError("the coth view is undefined for a = 1")
-    if not args.x_lo < args.x_hi:
+    if not 0.0 < args.x_hi - args.x_lo < math.inf:
         raise ValueError(f"need x_lo < x_hi, got [{args.x_lo}, {args.x_hi}]")
     n = args.steps
     step = (args.x_hi - args.x_lo) / (n - 1)
@@ -360,7 +358,7 @@ def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    if not args.a_lo < args.a_hi:
+    if not 0.0 < args.a_hi - args.a_lo < math.inf:
         raise ValueError(f"need a_lo < a_hi, got [{args.a_lo}, {args.a_hi}]")
     config = SolverConfig()
     n = args.steps

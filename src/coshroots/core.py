@@ -49,7 +49,7 @@ __all__ = [
 # exceeds ~1e12 and double-precision root finding is meaningless).
 UNIT_BASE_EPS = 1e-12
 
-# Default relative tolerance, in exponent space, for detecting the tangent
+# Relative tolerance, in exponent space, for detecting the tangent
 # base: | |ln a| * 2 sinh q - 1 | <= eps.  Residual-based detection would be
 # ill-conditioned at a double root (residual ~ eps**2).
 TANGENCY_EPS = 1e-9
@@ -93,16 +93,14 @@ class BaseParameter:
         object.__setattr__(self, "ln_a", math.log(a) if a > 0.0 else -math.inf)
 
 
-def compute_q(tolerance: float = 1e-15) -> float:
-    """Solve coth(q) = q on [1, 2] to the requested residual tolerance.
+def compute_q() -> float:
+    """Solve coth(q) = q on [1, 2] to a residual of 1e-15.
 
     Bisection first (the bracket [1, 2] provably contains the root:
     coth(1) ~= 1.313 > 1 while coth(2) ~= 1.037 < 2), then Newton polish
     using d/dq [coth q - q] = -coth(q)**2.  Deterministic; returns
-    q ~= 1.19967864 with |coth(q) - q| <= tolerance.
+    q ~= 1.19967864 with |coth(q) - q| <= 1e-15.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
 
     def g(q: float) -> float:
         return 1.0 / math.tanh(q) - q
@@ -118,13 +116,13 @@ def compute_q(tolerance: float = 1e-15) -> float:
     q = 0.5 * (lo + hi)
     for _ in range(60):
         r = g(q)
-        if abs(r) <= tolerance:
+        if abs(r) <= 1e-15:
             return q
         coth = 1.0 / math.tanh(q)
         q += r / (coth * coth)
     raise RuntimeError(
         "internal defect: coth(q)=q Newton polish failed to reach "
-        f"tolerance {tolerance:g} (residual {g(q):.3e})"
+        f"tolerance 1e-15 (residual {g(q):.3e})"
     )
 
 
@@ -144,8 +142,8 @@ class CriticalConstants:
     x_dagger: float
 
     @classmethod
-    def compute(cls, tolerance: float = 1e-15) -> "CriticalConstants":
-        q = compute_q(tolerance)
+    def compute(cls) -> "CriticalConstants":
+        q = compute_q()
         sinh_q = math.sinh(q)
         half = 1.0 / (2.0 * sinh_q)
         return cls(
@@ -168,9 +166,9 @@ def critical_constants() -> CriticalConstants:
     return CriticalConstants.compute()
 
 
-def critical_interval(constants: CriticalConstants | None = None) -> tuple[float, float]:
+def critical_interval() -> tuple[float, float]:
     """Return (a_min, a_max), the open base interval with two roots."""
-    c = constants if constants is not None else critical_constants()
+    c = critical_constants()
     return (c.a_min, c.a_max)
 
 
@@ -232,7 +230,10 @@ class SolutionClassification:
     tag: ClassificationTag
     root: float | None = None
     brackets: tuple[RootBracket, RootBracket] | None = None
-    by_convention: bool = False
+
+    @property
+    def by_convention(self) -> bool:
+        return self.tag is ClassificationTag.ZERO_BASE
 
     @property
     def root_count(self) -> int:
@@ -295,30 +296,22 @@ def x_star(base: BaseParameter) -> float:
     return math.asinh(0.5 / t) / t
 
 
-def classify(
-    base: BaseParameter,
-    constants: CriticalConstants | None = None,
-    tangency_eps: float = TANGENCY_EPS,
-) -> SolutionClassification:
+def classify(base: BaseParameter) -> SolutionClassification:
     """Decide how many real roots the equation has for this base.
 
     Decision order: a = 0, then a = 1 (|ln a| <= 1e-12), then the tangent
-    band (|ln a| within ``tangency_eps`` of 1/(2 sinh q), relative in
+    band (|ln a| within ``TANGENCY_EPS`` of 1/(2 sinh q), relative in
     exponent space), then no-root vs two-root by comparing |ln a| to the
     critical slope.  The two-root payload carries the analytic brackets
     for both roots.
     """
-    if tangency_eps <= 0.0:
-        raise ValueError("tangency_eps must be positive")
-    c = constants if constants is not None else critical_constants()
+    c = critical_constants()
     if base.a == 0.0:
-        return SolutionClassification(
-            tag=ClassificationTag.ZERO_BASE, root=0.0, by_convention=True
-        )
+        return SolutionClassification(tag=ClassificationTag.ZERO_BASE, root=0.0)
     t = abs(base.ln_a)
     if t <= UNIT_BASE_EPS:
         return SolutionClassification(tag=ClassificationTag.UNIT_BASE, root=2.0)
-    if abs(t * 2.0 * c.sinh_q - 1.0) <= tangency_eps:
+    if abs(t * 2.0 * c.sinh_q - 1.0) <= TANGENCY_EPS:
         return SolutionClassification(
             tag=ClassificationTag.TANGENT_ROOT, root=c.x_dagger
         )
@@ -326,18 +319,18 @@ def classify(
         return SolutionClassification(tag=ClassificationTag.NO_ROOT)
     return SolutionClassification(
         tag=ClassificationTag.TWO_ROOTS,
-        brackets=(bounds_x1(c), bounds_x2_initial(base)),
+        brackets=(bounds_x1(), bounds_x2_initial(base)),
     )
 
 
-def bounds_x1(constants: CriticalConstants | None = None) -> RootBracket:
+def bounds_x1() -> RootBracket:
     """Bracket for the first root: (2, 2 cosh q), independent of the base.
 
     The lower endpoint comes from the affine minorant f(x) >= 2 - x; the
     upper endpoint is the tangent-root abscissa, which the first root can
     only reach in the degenerate double-root case.
     """
-    c = constants if constants is not None else critical_constants()
+    c = critical_constants()
     return RootBracket(2.0, c.x_dagger, BracketProvenance.AFFINE_MINORANT)
 
 

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BaseParameter
-from .solvers import SolverConfig
 
 __all__ = ["ScanResult", "scan_roots", "min_scan"]
+
+# Relative width and step budget for bisecting each sign-change interval.
+_X_TOL = 1e-12
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -43,17 +46,13 @@ def _power_form(a: float, x: float) -> float:
 
 
 def scan_roots(
-    base: BaseParameter,
-    x_lo: float,
-    x_hi: float,
-    grid_size: int,
-    config: SolverConfig | None = None,
+    base: BaseParameter, x_lo: float, x_hi: float, grid_size: int
 ) -> ScanResult:
     """Locate every simple root of f on [x_lo, x_hi] by grid + bisection.
 
     Evaluates the power form on a uniform grid of ``grid_size`` points,
     collects each adjacent pair with opposite signs, and bisects each pair
-    to the configured relative width.  Grid points where f is exactly zero
+    to a relative width of 1e-12.  Grid points where f is exactly zero
     are reported as roots directly.  An empty result is valid (no roots in
     range, or only a tangency).
     """
@@ -63,7 +62,6 @@ def scan_roots(
         raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    cfg = config if config is not None else SolverConfig()
 
     a = base.a
     xs = np.linspace(x_lo, x_hi, grid_size)
@@ -78,9 +76,9 @@ def scan_roots(
     roots = list(exact)
     for lo, hi in intervals:
         f_lo = _power_form(a, lo)
-        for _ in range(cfg.max_iter):
+        for _ in range(_MAX_ITER):
             mid = 0.5 * (lo + hi)
-            if hi - lo <= cfg.x_tol * max(1.0, abs(mid)) or mid == lo or mid == hi:
+            if hi - lo <= _X_TOL * max(1.0, abs(mid)) or mid == lo or mid == hi:
                 break
             fm = _power_form(a, mid)
             if fm == 0.0:

@@ -26,7 +26,6 @@ from .core import (
     SolutionClassification,
     bounds_x2_refined,
     classify,
-    critical_constants,
     f_derivative,
     f_value,
     x_star,
@@ -50,6 +49,10 @@ __all__ = [
 # endpoint so a root sitting on the boundary still produces a numerical
 # sign change.
 _BRACKET_MARGIN = 1e-12
+
+# Residual target and iteration budget of the Lambert-W Halley loop.
+_W_ABS_TOL = 1e-12
+_W_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -344,25 +347,21 @@ def solve_all(
     failures propagate with the offending bracket attached.
     """
     cfg = config if config is not None else SolverConfig()
-    constants = critical_constants()
-    outcome = classify(base, constants)
+    outcome = classify(base)
     tag = outcome.tag
 
     if tag is ClassificationTag.NO_ROOT:
         roots: tuple[RootResult, ...] = ()
-    elif tag is ClassificationTag.ZERO_BASE:
-        roots = (RootResult(0.0, math.nan, 0, None),)
-    elif tag is ClassificationTag.UNIT_BASE:
-        roots = (RootResult(2.0, f_value(base, 2.0), 0, None),)
-    elif tag is ClassificationTag.TANGENT_ROOT:
-        x = constants.x_dagger
-        residual = f_value(base, x)
+    elif tag is not ClassificationTag.TWO_ROOTS:  # zero, unit or tangent base
+        x = outcome.root
+        residual = math.nan if outcome.by_convention else f_value(base, x)
         # double root: |f| scales with the square of the x-error, so the
         # acceptance bound here is sqrt(abs_tol), not abs_tol
-        if abs(residual) > math.sqrt(cfg.abs_tol):
+        tol = math.sqrt(cfg.abs_tol)
+        if tag is ClassificationTag.TANGENT_ROOT and abs(residual) > tol:
             raise ConvergenceError(
                 f"tangent-root residual {residual:.3e} exceeds "
-                f"sqrt(abs_tol)={math.sqrt(cfg.abs_tol):.3e}",
+                f"sqrt(abs_tol)={tol:.3e}",
                 x,
                 abs(residual),
                 0,
@@ -383,17 +382,16 @@ def solve_all(
     return SolveReport(classification=outcome, roots=roots)
 
 
-def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:
+def lambert_w_principal(z: float) -> float:
     """Principal branch W(z) of the Lambert W function, for z >= -1/e.
 
     Halley iteration from a standard region-dependent initial guess:
     log-based for large z, a short Maclaurin series near 0, and the
     square-root expansion in p = sqrt(2(e*z + 1)) near the branch point
-    -1/e.  Succeeds when |w*e**w - z| <= abs_tol (an absolute target,
+    -1/e.  Succeeds when |w*e**w - z| <= 1e-12 (an absolute target,
     appropriate for |z| up to ~1e3; far beyond that the double-precision
     floor |e^w (1+w)| * ulp(w)/2 exceeds 1e-12).
     """
-    cfg = config if config is not None else SolverConfig()
     z = float(z)
     if math.isnan(z):
         raise ValueError("z must be a real number, got nan")
@@ -417,10 +415,10 @@ def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:
         p = math.sqrt(2.0 * max(0.0, math.e * z + 1.0))
         w = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p * p * p
 
-    for _ in range(cfg.max_iter):
+    for _ in range(_W_MAX_ITER):
         ew = math.exp(w)
         fw = w * ew - z
-        if abs(fw) <= cfg.abs_tol:
+        if abs(fw) <= _W_ABS_TOL:
             return max(w, -1.0)
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
@@ -429,17 +427,15 @@ def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:
         w -= fw / denom
     raise ConvergenceError(
         f"Halley iteration for W({z!r}) did not reach |residual| <= "
-        f"{cfg.abs_tol:g} in {cfg.max_iter} iterations",
+        f"{_W_ABS_TOL:g} in {_W_MAX_ITER} iterations",
         w,
         abs(w * math.exp(w) - z),
-        cfg.max_iter,
+        _W_MAX_ITER,
         None,
     )
 
 
-def solve_exp_fixed_point(
-    base: BaseParameter, config: SolverConfig | None = None
-) -> float:
+def solve_exp_fixed_point(base: BaseParameter) -> float:
     """Solve a**x = x via the principal Lambert branch: x = -W(-ln a)/ln a.
 
     Defined for 0 < a <= e**(1/e) with a != 1 (for a > e**(1/e) the
@@ -458,5 +454,5 @@ def solve_exp_fixed_point(
             f"a={base.a!r} exceeds e**(1/e) ~= {math.exp(inv_e):.8f}; "
             "a**x = x has no real solution on the principal branch"
         )
-    w = lambert_w_principal(-t, config)
+    w = lambert_w_principal(-t)
     return -w / t

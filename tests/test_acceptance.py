@@ -38,13 +38,12 @@ from coshroots import (
     critical_constants,
     f_value,
     lambert_w_principal,
-    min_scan,
-    scan_roots,
     solve_all,
     solve_exp_fixed_point,
     x_star,
 )
 from coshroots.cli import main as cli_main
+from coshroots.oracle import min_scan, scan_roots
 
 
 def _line(text: str) -> None:

@@ -508,3 +508,23 @@ class TestNonFiniteTolerance:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+
+class TestNonFiniteRange:
+    @pytest.mark.parametrize("x_lo, x_hi", [("0", "inf"), ("-inf", "1")])
+    def test_curve_infinite_end_is_domain_error(self, capsys, x_lo, x_hi):
+        code, out, err = run_cli(
+            capsys, "curve", "--a", "0.9", f"--x-lo={x_lo}", f"--x-hi={x_hi}",
+            "--steps", "3",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_sweep_error_names_the_given_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--a-lo", "0.5", "--a-hi", "inf", "--steps", "3"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "[0.5, inf]" in err and "nan" not in err

@@ -10,12 +10,11 @@ from coshroots import (
     bounds_x1,
     bounds_x2_initial,
     classify,
-    min_scan,
-    scan_roots,
     solve_all,
     critical_constants,
     x_star,
 )
+from coshroots.oracle import min_scan, scan_roots
 
 SEED = 42
 
