@@ -186,10 +186,11 @@ def _cmd_classify(args: argparse.Namespace) -> str:
 def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | None:
     if base.a == 0.0:
         return None  # the scan cannot evaluate f at a = 0
-    x_hi = 10.0
-    if base.ln_a != 0.0:
+    tag = report.classification.tag
+    x_hi = 10.0  # a unit base's far root, beyond 1e13, is not reported
+    if tag is not ClassificationTag.UNIT_BASE:
         x_hi = max(10.0, 3.0 * x_star(base))
-    if report.classification.tag is ClassificationTag.TANGENT_ROOT:
+    if tag is ClassificationTag.TANGENT_ROOT:
         _, f_min = min_scan(base, -10.0, x_hi, _VERIFY_GRID)
         return abs(f_min) <= 1e-6
     scan = scan_roots(base, -10.0, x_hi, _VERIFY_GRID)

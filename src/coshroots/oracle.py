@@ -2,9 +2,11 @@
 
 Used to validate classification and brackets: it evaluates the original
 power form a**x + a**(-x) - x on a uniform grid, records every sign
-change, and bisects each one down to tolerance.  It deliberately avoids
-the cosh/log formulation, the classification logic, and every analytic
-bound, so agreement with the solvers is meaningful evidence.
+change, and bisects each one down to tolerance.  On the grid a**-x is
+taken as 1/a**x, so each grid point costs one power; a**x that
+underflows to 0 gives inf, as a**-x itself does there.  It deliberately
+avoids the cosh/log formulation, the classification logic, and every
+analytic bound, so agreement with the solvers is meaningful evidence.
 
 Tangent (double) roots produce no sign change and are invisible to the
 scan; use min_scan for those (the function is convex, so the grid minimum
@@ -45,6 +47,25 @@ def _power_form(a: float, x: float) -> float:
         return math.inf
 
 
+def _grid(
+    base: BaseParameter, x_lo: float, x_hi: float, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid xs and the power form on it, a**x + 1/a**x - x."""
+    if base.a <= 0.0:
+        raise ValueError("scan requires a > 0")
+    if not x_lo < x_hi:
+        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    xs = np.linspace(x_lo, x_hi, grid_size)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        p = np.power(base.a, xs)
+        fv = np.divide(1.0, p)
+        fv += p
+        fv -= xs
+    return xs, fv
+
+
 def scan_roots(
     base: BaseParameter, x_lo: float, x_hi: float, grid_size: int
 ) -> ScanResult:
@@ -56,21 +77,12 @@ def scan_roots(
     are reported as roots directly.  An empty result is valid (no roots in
     range, or only a tangency).
     """
-    if base.a <= 0.0:
-        raise ValueError("scan requires a > 0")
-    if not x_lo < x_hi:
-        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-
+    xs, fv = _grid(base, x_lo, x_hi, grid_size)
     a = base.a
-    xs = np.linspace(x_lo, x_hi, grid_size)
-    with np.errstate(over="ignore", under="ignore"):
-        fv = np.power(a, xs) + np.power(a, -xs) - xs
-
     exact = [float(x) for x in xs[fv == 0.0]]
-    signs = np.sign(fv)
-    change = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    neg = fv < 0.0
+    pos = fv > 0.0
+    change = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
     intervals = [(float(xs[i]), float(xs[i + 1])) for i in change]
 
     roots = list(exact)
@@ -105,15 +117,6 @@ def min_scan(
     The tangency check for bases at the edge of the critical interval:
     a double root shows up as |f_min| ~ 0 with no sign change.
     """
-    if base.a <= 0.0:
-        raise ValueError("scan requires a > 0")
-    if not x_lo < x_hi:
-        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    a = base.a
-    xs = np.linspace(x_lo, x_hi, grid_size)
-    with np.errstate(over="ignore", under="ignore"):
-        fv = np.power(a, xs) + np.power(a, -xs) - xs
+    xs, fv = _grid(base, x_lo, x_hi, grid_size)
     i = int(np.argmin(fv))
     return float(xs[i]), float(fv[i])

@@ -114,6 +114,16 @@ class TestSolve:
         assert rec["classification"] == "tangent_root"
         assert rec["verified"] == "true"
 
+    @pytest.mark.parametrize("a", ["1.0000000000005", "0.9999999999995"])
+    def test_verify_unit_band(self, capsys, a):
+        # |ln a| = 5e-13 <= UNIT_BASE_EPS: the far root near 6e13 is not
+        # reported, so the scan must not look for it
+        code, out, _ = run_cli(capsys, "solve", "--a", a, "--verify")
+        assert code == EXIT_OK
+        (rec,) = parse_csv(out)
+        assert rec["classification"] == "unit_base"
+        assert rec["verified"] == "true"
+
     def test_solver_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--a", "1.000000001")
         assert code == EXIT_SOLVER

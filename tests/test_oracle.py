@@ -1,6 +1,8 @@
 """Tests for the brute-force grid scan and its agreement with the
 analytic machinery."""
 
+import warnings
+
 import pytest
 
 import numpy as np
@@ -14,9 +16,27 @@ from coshroots import (
     critical_constants,
     x_star,
 )
-from coshroots.oracle import min_scan, scan_roots
+from coshroots.cli import main
+from coshroots.oracle import ScanResult, min_scan, scan_roots
 
 SEED = 42
+
+# Bases at the ends of the double range, at and around 1, and at the
+# critical edges.
+_C = critical_constants()
+EXTREME_BASES = (
+    1e-300,
+    5e-324,
+    1e300,
+    1.7976931348623157e308,
+    1.0 + 1e-13,
+    1.0 - 1e-13,
+    _C.a_min,
+    _C.a_max,
+    1e10,
+    1e-10,
+    1.0,
+)
 
 
 def _power_f(a, x):
@@ -24,6 +44,50 @@ def _power_f(a, x):
         return a**x + a**-x - x
     except OverflowError:
         return float("inf")
+
+
+def _reference_grid(a, x_lo, x_hi, grid_size):
+    """The power form with one np.power for a**x and one for a**-x."""
+    xs = np.linspace(x_lo, x_hi, grid_size)
+    with np.errstate(over="ignore", under="ignore"):
+        return xs, np.power(a, xs) + np.power(a, -xs) - xs
+
+
+def _reference_scan(base, x_lo, x_hi, grid_size):
+    """Grid scan with np.sign products and scalar bisection to 1e-12."""
+    a = base.a
+    xs, fv = _reference_grid(a, x_lo, x_hi, grid_size)
+    roots = [float(x) for x in xs[fv == 0.0]]
+    signs = np.sign(fv)
+    change = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    intervals = [(float(xs[i]), float(xs[i + 1])) for i in change]
+    for lo, hi in intervals:
+        f_lo = _power_f(a, lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-12 * max(1.0, abs(mid)) or mid == lo or mid == hi:
+                break
+            fm = _power_f(a, mid)
+            if fm == 0.0:
+                break
+            if (fm > 0.0) == (f_lo > 0.0):
+                lo, f_lo = mid, fm
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return ScanResult(
+        sign_change_intervals=tuple(intervals),
+        refined_roots=tuple(sorted(roots)),
+        grid_size=grid_size,
+        scan_range=(float(x_lo), float(x_hi)),
+    )
+
+
+def _scan_ranges(base):
+    """[-10, 10] and the non-unit --verify range [-10, max(10, 3 x*)]."""
+    if base.ln_a == 0.0:
+        return ((-10.0, 10.0),)
+    return ((-10.0, 10.0), (-10.0, max(10.0, 3.0 * x_star(base))))
 
 
 class TestScanRoots:
@@ -86,6 +150,48 @@ class TestMinScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             min_scan(BaseParameter(0.0), 0.0, 1.0, 100)
+
+
+class TestAgainstTwoPowerReference:
+    """The grid takes a**-x as 1/a**x; the two-power form is the reference."""
+
+    def _check(self, a, x_lo, x_hi, grid_size):
+        base = BaseParameter(a)
+        assert scan_roots(base, x_lo, x_hi, grid_size) == _reference_scan(
+            base, x_lo, x_hi, grid_size
+        )
+        x_min, f_min = min_scan(base, x_lo, x_hi, grid_size)
+        xs, fv = _reference_grid(a, x_lo, x_hi, grid_size)
+        i = int(np.argmin(fv))
+        assert x_min == float(xs[i])
+        with np.errstate(over="ignore"):
+            scale = max(np.power(a, x_min), np.power(a, -x_min))
+        assert abs(f_min - float(fv[i])) <= 8.0 * np.spacing(scale)
+
+    def test_seeded_bases(self):
+        rng = np.random.default_rng(SEED)
+        for a in rng.uniform(0.05, 5.0, 500):
+            base = BaseParameter(float(a))
+            self._check(float(a), *_scan_ranges(base)[1], 20_001)
+
+    @pytest.mark.parametrize("a", EXTREME_BASES, ids=repr)
+    def test_extreme_bases(self, a):
+        for x_lo, x_hi in _scan_ranges(BaseParameter(a)):
+            self._check(a, x_lo, x_hi, 100_001)
+
+
+@pytest.mark.parametrize("a", EXTREME_BASES, ids=repr)
+def test_extreme_bases_raise_no_warning(a, capsys):
+    base = BaseParameter(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x_lo, x_hi in _scan_ranges(base):
+            scan_roots(base, x_lo, x_hi, 100_001)
+            min_scan(base, x_lo, x_hi, 100_001)
+        code = main(["solve", "--a", repr(a), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
 
 
 class TestOracleAgreement:
