@@ -388,9 +388,11 @@ def lambert_w_principal(z: float) -> float:
     Halley iteration from a standard region-dependent initial guess:
     log-based for large z, a short Maclaurin series near 0, and the
     square-root expansion in p = sqrt(2(e*z + 1)) near the branch point
-    -1/e.  Succeeds when |w*e**w - z| <= 1e-12 (an absolute target,
-    appropriate for |z| up to ~1e3; far beyond that the double-precision
-    floor |e^w (1+w)| * ulp(w)/2 exceeds 1e-12).
+    -1/e.  Succeeds when |w*e**w - z| <= 1e-12, or when the Halley step
+    is at most 2 ulp of w, in which case it returns w minus that step.
+    The absolute target serves |z| up to ~1e3; beyond ~1e4 the
+    double-precision floor |e^w (1+w)| * ulp(w)/2 exceeds 1e-12, and the
+    step test ends the iteration.
     """
     z = float(z)
     if math.isnan(z):
@@ -424,7 +426,12 @@ def lambert_w_principal(z: float) -> float:
         denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
         if denom == 0.0 or not math.isfinite(denom):
             denom = ew * wp1  # plain Newton fallback
-        w -= fw / denom
+        step = fw / denom
+        # A step of exactly 0 with fw != 0 means e**w * (w + 1) overflowed
+        # (z within 0.2% of the largest double), not convergence.
+        if 0.0 < abs(step) <= 2.0 * math.ulp(w):
+            return max(w - step, -1.0)
+        w -= step
     raise ConvergenceError(
         f"Halley iteration for W({z!r}) did not reach |residual| <= "
         f"{_W_ABS_TOL:g} in {_W_MAX_ITER} iterations",

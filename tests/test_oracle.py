@@ -1,7 +1,9 @@
 """Tests for the brute-force grid scan and its agreement with the
 analytic machinery."""
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,6 +18,7 @@ from coshroots import (
     critical_constants,
     x_star,
 )
+from coshroots import oracle
 from coshroots.cli import main
 from coshroots.oracle import ScanResult, min_scan, scan_roots
 
@@ -222,3 +225,91 @@ class TestOracleAgreement:
             assert len(scan.refined_roots) == len(report.roots)
             for got, want in zip(scan.refined_roots, report.roots):
                 assert abs(got - want.x) <= 1e-6
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.int64)
+
+
+def _in_thread(fn):
+    """Run fn() in a new thread and return its result."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
+class TestWorkspace:
+    """_grid writes into arrays each thread keeps; xs must stay linspace."""
+
+    def test_xs_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        base = BaseParameter(0.9)
+        # Sizes alternate, so the first range of each rebuilds the arrays
+        # and the rest reuse them.  On [-10, 0.1], (n - 1)*step - 10 misses
+        # 0.1 by an ulp, so the last point must be set to x_hi.
+        for n in (2, 100_001, 3, 1000) * 10:
+            ranges = [(-10.0, 0.1)]
+            for _ in range(3):
+                lo = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-20, 20))
+                hi = lo + float(rng.uniform(1e-3, 1.0)) * 10.0 ** int(
+                    rng.integers(-10, 10)
+                )
+                if not lo < hi:
+                    hi = float(np.nextafter(lo, np.inf))
+                ranges.append((lo, hi))
+            for lo, hi in ranges:
+                xs, _ = oracle._grid(base, lo, hi, n)
+                assert len(xs) == n
+                assert np.array_equal(_bits(xs), _bits(np.linspace(lo, hi, n)))
+
+    @pytest.mark.parametrize("n", (2, 3, 1000))
+    def test_subnormal_span(self, n):
+        xs, fv = oracle._grid(BaseParameter(0.9), 0.0, 5e-324, n)
+        assert np.array_equal(_bits(xs), _bits(np.linspace(0.0, 5e-324, n)))
+        assert np.array_equal(fv, np.full(n, 2.0))
+
+    def test_grid_above_cap_is_not_kept(self):
+        base = BaseParameter(0.9)
+        n = oracle._KEPT_GRID_MAX + 1
+        x_hi = max(10.0, 3.0 * x_star(base))
+
+        def scan_fresh_thread():
+            result = scan_roots(base, -10.0, x_hi, n)
+            return result, getattr(oracle._kept, "ws", None)
+
+        def scan_after_kept_grid():
+            scan_roots(base, -10.0, x_hi, 1000)
+            scan_roots(base, -10.0, x_hi, n)
+            return [len(a) for a in oracle._kept.ws]
+
+        result, kept = _in_thread(scan_fresh_thread)
+        assert result == _reference_scan(base, -10.0, x_hi, n)
+        assert len(result.refined_roots) == 2
+        assert kept is None
+        assert _in_thread(scan_after_kept_grid) == [1000] * 4
+
+    def test_threads_match_serial(self):
+        rng = np.random.default_rng(SEED)
+        chunks = [
+            [float(a) for a in rng.uniform(0.6, 1.5, 12)] for _ in range(4)
+        ]
+
+        def scan_all(bases):
+            out = []
+            for i, a in enumerate(bases):
+                base = BaseParameter(a)
+                x_lo, x_hi = _scan_ranges(base)[-1]
+                n = (100_001, 20_001)[i % 2]
+                out.append(
+                    (scan_roots(base, x_lo, x_hi, n), min_scan(base, x_lo, x_hi, n))
+                )
+            return out
+
+        serial = [scan_all(bases) for bases in chunks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(scan_all, chunks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial

@@ -3,6 +3,7 @@ Lambert-W baseline."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -293,6 +294,80 @@ class TestLambertW:
             z = w * math.exp(w)
             got = lambert_w_principal(z)
             assert abs(got * math.exp(got) - z) <= 1e-12
+
+
+def _lambert_w_residual_only(z):
+    """Halley for W(z) that stops only on |w*e**w - z| <= 1e-12.
+
+    The iteration lambert_w_principal ran before it also stopped on a step
+    of at most 2 ulp; the reference where that target is reachable.
+    Returns None where it is not.
+    """
+    if z == -math.exp(-1.0):
+        return -1.0
+    if z > math.e:
+        log_z = math.log(z)
+        w = log_z - math.log(log_z)
+    elif z > 0.5:
+        w = math.log1p(z)
+    elif z >= -0.25:
+        w = z * (1.0 - z + 1.5 * z * z)
+    else:
+        p = math.sqrt(2.0 * max(0.0, math.e * z + 1.0))
+        w = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p * p * p
+    for _ in range(200):
+        ew = math.exp(w)
+        fw = w * ew - z
+        if abs(fw) <= 1e-12:
+            return max(w, -1.0)
+        wp1 = w + 1.0
+        denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
+        if denom == 0.0 or not math.isfinite(denom):
+            denom = ew * wp1
+        w -= fw / denom
+    return None
+
+
+class TestLambertWLargeZ:
+    """Beyond z ~ 1e4 the 1e-12 residual is below the float floor."""
+
+    def test_within_one_ulp_of_mpmath(self):
+        rng = np.random.default_rng(SEED)
+        zs = [1e4, 1e6, 1e300] + [float(z) for z in 10.0 ** rng.uniform(3, 308, 300)]
+        with mpmath.workdps(40):
+            for z in zs:
+                w = lambert_w_principal(z)
+                ref = float(mpmath.lambertw(mpmath.mpf(z)))
+                assert abs(w - ref) <= math.ulp(ref), z
+
+    def test_unchanged_where_residual_target_is_reachable(self):
+        rng = np.random.default_rng(SEED)
+        em1 = math.exp(-1.0)
+        zs = np.concatenate(
+            [
+                -em1 * (1.0 - 10.0 ** rng.uniform(-16, 0, 1000)),
+                rng.uniform(-em1, 0.0, 1000),
+                10.0 ** rng.uniform(-12, 3, 3000),
+            ]
+        )
+        checked = 0
+        for z in zs:
+            z = max(float(z), -em1)
+            want = _lambert_w_residual_only(z)
+            if want is not None:
+                assert lambert_w_principal(z) == want, z
+                checked += 1
+        assert checked == len(zs)
+
+    def test_no_unconverged_value_near_double_max(self):
+        # e**w * (w + 1) overflows here, so the Halley step reads 0.0.
+        z = 1.797e308
+        try:
+            w = lambert_w_principal(z)
+        except ConvergenceError:
+            return
+        with mpmath.workdps(40):
+            assert abs(w - float(mpmath.lambertw(mpmath.mpf(z)))) <= math.ulp(w)
 
 
 class TestSolveExpFixedPoint:
