@@ -42,6 +42,7 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     SolverError,
+    _seed,
     newton_refine,
     solve_all,
 )
@@ -352,7 +353,7 @@ def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
             record["status"] = "solver_error"
     # x2 is skipped or failed: report x1 alone
     try:
-        record["x1"], _ = newton_refine(base, b1.midpoint, b1, config)
+        record["x1"], _ = newton_refine(base, _seed(base, b1), b1, config)
     except SolverError:
         record["status"] = "solver_error"
     return record

@@ -323,12 +323,14 @@ def classify(base: BaseParameter) -> SolutionClassification:
     )
 
 
+@lru_cache(maxsize=1)
 def bounds_x1() -> RootBracket:
     """Bracket for the first root: (2, 2 cosh q), independent of the base.
 
     The lower endpoint comes from the affine minorant f(x) >= 2 - x; the
     upper endpoint is the tangent-root abscissa, which the first root can
-    only reach in the degenerate double-root case.
+    only reach in the degenerate double-root case.  Built once and shared:
+    the bracket is immutable.
     """
     c = critical_constants()
     return RootBracket(2.0, c.x_dagger, BracketProvenance.AFFINE_MINORANT)

@@ -1,10 +1,17 @@
-"""Root solvers: bracketed bisection, safeguarded Newton, and dispatch.
+"""Root solvers: bracketed bisection, safeguarded Halley, and dispatch.
 
-The safeguarded Newton iteration maintains a sign-change bracket and falls
-back to a bisection step whenever a Newton step would leave the bracket,
-the derivative degenerates, or progress is too slow.  Convexity of
-f(x) = 2*cosh(x*ln a) - x guarantees at most one sign change inside each
-analytic bracket, so the midpoint is a robust, reproducible seed.
+The safeguarded iteration maintains a sign-change bracket and takes
+Halley steps, which cost no extra evaluation because
+f''(x) = (ln a)**2 * (f(x) + x).  It falls back to a Newton step where the
+Halley denominator is small or the Halley step would leave the bracket,
+and to a bisection step whenever the Newton step would leave the bracket,
+the derivative degenerates, or progress is too slow.  Once |f| meets the
+tolerance it returns the point one Newton step further on, so stopping
+early costs no accuracy.  Convexity of f(x) = 2*cosh(x*ln a) - x
+guarantees at most one sign change inside each analytic bracket.
+``solve_all`` seeds x1 with two fixed-point steps of x = 2*cosh(x*ln a)
+from 2, and both roots near the tangent base from the quadratic model of
+f at its minimiser; x2 elsewhere starts at its bracket's midpoint.
 
 Also houses the Lambert-W baseline for the simpler fixed-point family
 a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
@@ -26,6 +33,7 @@ from .core import (
     SolutionClassification,
     bounds_x2_refined,
     classify,
+    critical_constants,
     f_derivative,
     f_value,
     x_star,
@@ -54,6 +62,14 @@ _BRACKET_MARGIN = 1e-12
 _W_ABS_TOL = 1e-12
 _W_MAX_ITER = 200
 
+# Relative distance (T - |ln a|)/T below which solve_all seeds both roots
+# from the quadratic model of f at its minimiser.
+_TANGENT_SEED_BAND = 0.05
+
+# A Halley denominator below this (a step more than twice Newton's) is
+# not trusted; the Newton step is taken instead.
+_HALLEY_MIN_DENOM = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -74,6 +90,9 @@ class SolverConfig:
             raise ValueError("tolerances must be finite and strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -190,7 +209,7 @@ def bisect(
     widened) bracket.  The library itself solves with ``newton_refine``;
     this stays public as the independent reference its tests check it by.
     """
-    cfg = config if config is not None else SolverConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     lo, hi = _widened(bracket)
     f_lo = f_value(base, lo)
     f_hi = f_value(base, hi)
@@ -231,15 +250,20 @@ def newton_refine(
     bracket: RootBracket,
     config: SolverConfig | None = None,
 ) -> tuple[float, int]:
-    """Safeguarded Newton iteration inside a sign-change bracket.
+    """Safeguarded Halley iteration inside a sign-change bracket.
 
-    Any step that would leave the maintained bracket, meet a degenerate
-    derivative (|f'| < 1e-300), or fail to halve the previous step falls
-    back to one bisection step.  Succeeds when |f(x)| <= abs_tol; raises
-    ConvergenceError carrying the best iterate if the budget runs out or
-    the bracket collapses to machine resolution first.
+    Each step is Halley's h / (1 - h*f''/(2f')) with h = f/f' and
+    f'' = (ln a)**2 * (f + x) taken from values already in hand.  Where
+    the Halley denominator is below 1/2 or the Halley step would leave the
+    maintained bracket, the Newton step h is taken instead; any step that
+    would leave the bracket, meet a degenerate derivative (|f'| < 1e-300),
+    or fail to halve the step before last falls back to one bisection
+    step.  Succeeds when |f(x)| <= abs_tol, returning x - f/f' (one more
+    Newton step, already computed) when that point stays in the bracket,
+    else x.  Raises ConvergenceError carrying the best iterate if the
+    budget runs out or the bracket collapses to machine resolution first.
     """
-    cfg = config if config is not None else SolverConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     if not (bracket.lo <= seed <= bracket.hi):
         raise ValueError(
             f"seed {seed!r} lies outside bracket [{bracket.lo}, {bracket.hi}]"
@@ -260,6 +284,7 @@ def newton_refine(
     else:
         xl, xh = hi, lo
 
+    ln_a_sq = base.ln_a * base.ln_a
     x = float(seed)
     fx = f_value(base, x)
     dfx = f_derivative(base, x)
@@ -268,8 +293,13 @@ def newton_refine(
     step = step_prev
     iterations = 0
 
+    abs_tol = cfg.abs_tol
     while iterations < cfg.max_iter:
-        if abs(fx) <= cfg.abs_tol:
+        if abs(fx) <= abs_tol:
+            if dfx != 0.0:
+                x_new = x - fx / dfx
+                if (x_new - xl) * (x_new - xh) <= 0.0:
+                    return x_new, iterations
             return x, iterations
         force_bisect = (
             not math.isfinite(fx)
@@ -278,16 +308,21 @@ def newton_refine(
             or ((x - xh) * dfx - fx) * ((x - xl) * dfx - fx) > 0.0
             or abs(2.0 * fx) > abs(step_prev * dfx)
         )
+        step_prev = step
         if force_bisect:
-            step_prev = step
             step = abs(0.5 * (xh - xl))
             x_new = xl + 0.5 * (xh - xl)
             if x_new == xl or x_new == xh:
                 break  # bracket at machine resolution
         else:
-            step_prev = step
-            step = abs(fx / dfx)
-            x_new = x - fx / dfx
+            h = fx / dfx
+            x_new = x - h
+            denom = 1.0 - 0.5 * h * ln_a_sq * (fx + x) / dfx
+            if denom >= _HALLEY_MIN_DENOM:
+                x_halley = x - h / denom
+                if (x_halley - xl) * (x_halley - xh) < 0.0:
+                    x_new = x_halley
+            step = abs(x_new - x)
             if x_new == x:
                 break
         x = x_new
@@ -301,7 +336,7 @@ def newton_refine(
         else:
             xh = x
 
-    if best_f <= cfg.abs_tol:
+    if best_f <= abs_tol:
         return best_x, iterations
     raise ConvergenceError(
         f"no iterate reached |f| <= {cfg.abs_tol:g} within {iterations} "
@@ -312,6 +347,31 @@ def newton_refine(
         iterations,
         bracket,
     )
+
+
+def _seed(base: BaseParameter, bracket: RootBracket) -> float:
+    """Starting point for ``newton_refine`` on one of a two-root base's
+    analytic brackets, inside it.
+
+    With t = |ln a| and T = 1/(2 sinh q) the tangent slope: where
+    (T - t)/T < 0.05 both roots come from the quadratic model of f at its
+    minimiser, x* -+ sqrt(-2 f(x*) / f''(x*)), clamped into the bracket.
+    Elsewhere x1 (its bracket ends at the tangent abscissa) takes two
+    fixed-point steps of x = 2*cosh(t*x) from x = 2; they rise
+    monotonically towards x1, so stay in its bracket.  x2 starts at its
+    bracket's midpoint.
+    """
+    c = critical_constants()
+    t = abs(base.ln_a)
+    first = bracket.hi <= c.x_dagger
+    if 1.0 - t * 2.0 * c.sinh_q < _TANGENT_SEED_BAND:
+        xs = x_star(base)
+        f_xs = f_value(base, xs)
+        r = math.sqrt(max(0.0, -2.0 * f_xs / (t * t * (f_xs + xs))))
+        return min(max(xs - r if first else xs + r, bracket.lo), bracket.hi)
+    if first:
+        return 2.0 * math.cosh(t * 2.0 * math.cosh(2.0 * t))
+    return bracket.midpoint
 
 
 def _second_root_bracket(
@@ -343,10 +403,11 @@ def solve_all(
     their analytic root without iteration (the zero-base root is the
     conventional x = 0, with residual reported as nan since f is undefined
     at a = 0).  Two-root bases solve x1 on its universal bracket first,
-    then x2 on the refined bracket that knowing x1 unlocks.  Solver
-    failures propagate with the offending bracket attached.
+    then x2 on the refined bracket that knowing x1 unlocks, each from the
+    seed ``_seed`` picks.  Solver failures propagate with the offending
+    bracket attached.
     """
-    cfg = config if config is not None else SolverConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     outcome = classify(base)
     tag = outcome.tag
 
@@ -371,9 +432,9 @@ def solve_all(
     else:  # TWO_ROOTS
         assert outcome.brackets is not None
         b1, b2_initial = outcome.brackets
-        x1, it1 = newton_refine(base, b1.midpoint, b1, cfg)
+        x1, it1 = newton_refine(base, _seed(base, b1), b1, cfg)
         b2 = _second_root_bracket(base, x1, b2_initial)
-        x2, it2 = newton_refine(base, b2.midpoint, b2, cfg)
+        x2, it2 = newton_refine(base, _seed(base, b2), b2, cfg)
         roots = (
             RootResult(x1, f_value(base, x1), it1, b1),
             RootResult(x2, f_value(base, x2), it2, b2),
@@ -392,7 +453,9 @@ def lambert_w_principal(z: float) -> float:
     is at most 2 ulp of w, in which case it returns w minus that step.
     The absolute target serves |z| up to ~1e3; beyond ~1e4 the
     double-precision floor |e^w (1+w)| * ulp(w)/2 exceeds 1e-12, and the
-    step test ends the iteration.
+    step test ends the iteration.  Where e^w (1+w) overflows (z above
+    ~1.795e308) the step is taken in its e^-w-scaled form, so W is found
+    up to the largest double.
     """
     z = float(z)
     if math.isnan(z):
@@ -419,17 +482,21 @@ def lambert_w_principal(z: float) -> float:
 
     for _ in range(_W_MAX_ITER):
         ew = math.exp(w)
-        fw = w * ew - z
-        if abs(fw) <= _W_ABS_TOL:
-            return max(w, -1.0)
         wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
-        if denom == 0.0 or not math.isfinite(denom):
-            denom = ew * wp1  # plain Newton fallback
+        if math.isinf(ew * wp1):
+            # z within 0.2% of the largest double: take the same step with
+            # the residual and its derivative scaled by e**-w
+            fw = w - z * math.exp(-w)
+            denom = wp1 - (w + 2.0) * fw / (2.0 * wp1)
+        else:
+            fw = w * ew - z
+            if abs(fw) <= _W_ABS_TOL:
+                return max(w, -1.0)
+            denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
+            if denom == 0.0 or not math.isfinite(denom):
+                denom = ew * wp1  # plain Newton fallback
         step = fw / denom
-        # A step of exactly 0 with fw != 0 means e**w * (w + 1) overflowed
-        # (z within 0.2% of the largest double), not convergence.
-        if 0.0 < abs(step) <= 2.0 * math.ulp(w):
+        if abs(step) <= 2.0 * math.ulp(w):
             return max(w - step, -1.0)
         w -= step
     raise ConvergenceError(

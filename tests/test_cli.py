@@ -538,3 +538,24 @@ class TestNonFiniteRange:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "[0.5, inf]" in err and "nan" not in err
+
+
+class TestSweepX1Seed:
+    def test_x1_alone_matches_solve_all(self, capsys, monkeypatch):
+        # The x1-only fallback row seeds newton_refine as solve_all does,
+        # so it reports the same double.
+        def failing(base, config=None):
+            raise solvers.SolverError("forced")
+
+        monkeypatch.setattr(cli, "solve_all", failing)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--a-lo", "0.72", "--a-hi", "0.98", "--steps", "20",
+            "--format", "json", "--full-precision",
+        )
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert len(records) == 20
+        for rec in records:
+            assert rec["classification"] == "two_roots"
+            assert rec["status"] == "solver_error"
+            assert rec["x1"] == solve_all(BaseParameter(rec["a"])).roots[0].x, rec

@@ -2,6 +2,7 @@
 Lambert-W baseline."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from coshroots import (
     bounds_x1,
     bounds_x2_initial,
     critical_constants,
+    f_derivative,
     f_value,
     lambert_w_principal,
     newton_refine,
@@ -410,3 +412,73 @@ class TestSolveExpFixedPoint:
             solve_exp_fixed_point(BaseParameter(1.0))
         with pytest.raises(ValueError):
             solve_exp_fixed_point(BaseParameter(0.0))
+
+
+class TestLambertWNearDoubleMax:
+    """Above z ~ 1.7951e308, e**w * (w + 1) overflows; the step is taken
+    in its e**-w-scaled form there."""
+
+    @pytest.mark.parametrize("z", [1.7951e308, 1.797e308, sys.float_info.max])
+    def test_within_one_ulp_of_mpmath(self, z):
+        w = lambert_w_principal(z)
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(mpmath.mpf(z)))
+        assert abs(w - ref) <= math.ulp(ref)
+
+
+def _mp_root(a, x):
+    """The root of 2*cosh(x ln a) = x nearest the double x, to 50 digits,
+    by Newton's method from x."""
+    with mpmath.workdps(50):
+        ln_a = mpmath.log(mpmath.mpf(a))
+        xm = mpmath.mpf(x)
+        for _ in range(20):
+            e = mpmath.exp(xm * ln_a)
+            step = (e + 1 / e - xm) / (ln_a * (e - 1 / e) - 1)
+            xm -= step
+            if abs(step) <= abs(xm) * mpmath.mpf(10) ** -40:
+                break
+        return xm
+
+
+class TestSeededHalley:
+    """solve_all's seeds and Halley steps, checked root by root against
+    50-digit values away from the near-unit band, edges included."""
+
+    @staticmethod
+    def _bases():
+        rng = np.random.default_rng(SEED)
+        t_max = critical_constants().tangent_log
+        bulk = rng.uniform(4e-3, t_max * (1.0 - 2e-9), 2000)
+        edge = t_max * (1.0 - 10.0 ** rng.uniform(math.log10(2e-9), math.log10(0.3), 400))
+        ts = np.concatenate([bulk, edge])
+        signs = rng.choice([-1.0, 1.0], len(ts))
+        return [BaseParameter(math.exp(float(s * t))) for s, t in zip(signs, ts)]
+
+    def test_residual_iterations_and_ulp_error(self):
+        worst = 0.0
+        for base in self._bases():
+            report = solve_all(base)
+            assert report.classification.tag is ClassificationTag.TWO_ROOTS, base
+            for root in report.roots:
+                assert abs(root.residual) <= 1e-12, (base, root)
+                assert root.iterations <= 4, (base, root)
+                if abs(f_derivative(base, root.x)) >= 0.1:
+                    ref = _mp_root(base.a, root.x)
+                    err = float(abs(mpmath.mpf(root.x) - ref)) / math.ulp(root.x)
+                    worst = max(worst, err)
+                    assert err <= 16.0, (base, root, err)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize(
+        "a", [0.75, critical_constants().a_max - 1e-8], ids=["0.75", "a_max-1e-8"]
+    )
+    def test_newton_refine_from_any_seed_in_bounds_x1(self, a):
+        base = BaseParameter(a)
+        bracket = bounds_x1()
+        lo = bracket.lo - 1e-12 * max(1.0, abs(bracket.lo))
+        hi = bracket.hi + 1e-12 * max(1.0, abs(bracket.hi))
+        for seed in np.linspace(bracket.lo, bracket.hi, 200):
+            x, _ = newton_refine(base, float(seed), bracket)
+            assert lo <= x <= hi, seed
+            assert abs(f_value(base, x)) <= 1e-12, seed
