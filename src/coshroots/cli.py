@@ -25,6 +25,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from typing import Any
 
@@ -57,13 +58,19 @@ EXIT_USAGE = 64
 # Table bases shipped as the reference fixture.
 TABLE_BASES = (0.6, 0.75, 0.9, 1.08, 1.39)
 
-# Grid used by --verify and the sweep's x2-divergence cutoff.
+# Grid used by --verify, and the sweep's x2_overflow cutoff on 2x* - 2, the
+# upper end of x2's initial bracket (x2 itself may lie well below it).
 _VERIFY_GRID = 100_001
 _X2_OVERFLOW_LIMIT = 1e9
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to the 64-style exit code."""
+    """argparse with usage errors mapped to the 64-style exit code; a token
+    read as a negative float (``-1e-3``, ``-inf``) is a value, not an option."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -117,8 +124,6 @@ def _jsonable(value: Any, digits: int) -> Any:
         return value if digits >= 17 else float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _jsonable(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, digits) for v in value]
     raise TypeError(f"cannot serialize {value!r}")
 
 
@@ -202,8 +207,7 @@ def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | Non
 
 def _cmd_solve(args: argparse.Namespace) -> str:
     base = BaseParameter(args.a)
-    config = SolverConfig(abs_tol=args.tol) if args.tol is not None else SolverConfig()
-    report = solve_all(base, config)
+    report = solve_all(base, SolverConfig(args.tol) if args.tol is not None else None)
     roots = report.roots
     record: dict[str, Any] = {
         "a": base.a,
@@ -325,7 +329,7 @@ def _cmd_curve(args: argparse.Namespace) -> str:
     return _emit("curve", ["x", y_name], records, args.format, _digits(args))
 
 
-def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
+def _sweep_record(base: BaseParameter) -> dict[str, Any]:
     outcome = classify(base)
     tag = outcome.tag
     record: dict[str, Any] = {
@@ -347,13 +351,13 @@ def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
         record["status"] = "x2_overflow"
     else:
         try:
-            record["x1"], record["x2"] = (r.x for r in solve_all(base, config).roots)
+            record["x1"], record["x2"] = (r.x for r in solve_all(base).roots)
             return record
         except SolverError:
             record["status"] = "solver_error"
     # x2 is skipped or failed: report x1 alone
     try:
-        record["x1"], _ = newton_refine(base, _seed(base, b1), b1, config)
+        record["x1"], _ = newton_refine(base, _seed(base, b1), b1)
     except SolverError:
         record["status"] = "solver_error"
     return record
@@ -362,13 +366,12 @@ def _sweep_record(base: BaseParameter, config: SolverConfig) -> dict[str, Any]:
 def _cmd_sweep(args: argparse.Namespace) -> str:
     if not 0.0 < args.a_hi - args.a_lo < math.inf:
         raise ValueError(f"need a_lo < a_hi, got [{args.a_lo}, {args.a_hi}]")
-    config = SolverConfig()
     n = args.steps
     step = (args.a_hi - args.a_lo) / (n - 1)
     records = []
     for i in range(n):
         a = args.a_lo + i * step if i < n - 1 else args.a_hi
-        records.append(_sweep_record(BaseParameter(a), config))
+        records.append(_sweep_record(BaseParameter(a)))
     return _emit(
         "sweep",
         ["a", "classification", "status", "x1", "x2"],

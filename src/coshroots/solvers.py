@@ -1,4 +1,4 @@
-"""Root solvers: bracketed bisection, safeguarded Halley, and dispatch.
+"""Root solvers: reference bisection, safeguarded Halley, and dispatch.
 
 The safeguarded iteration maintains a sign-change bracket and takes
 Halley steps, which cost no extra evaluation because
@@ -17,8 +17,8 @@ Also houses the Lambert-W baseline for the simpler fixed-point family
 a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
 branch.
 
-All functions are pure; configs and reports are immutable values, so
-concurrent solves over different bases are safe.
+All functions are pure; the config (one residual target, ``abs_tol``) and
+the reports are immutable values, so concurrent solves are safe.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ __all__ = [
 # sign change.
 _BRACKET_MARGIN = 1e-12
 
+# Step budget of bisect and newton_refine; exhausting it raises ConvergenceError.
+_MAX_ITER = 200
+
 # Residual target and iteration budget of the Lambert-W Halley loop.
 _W_ABS_TOL = 1e-12
 _W_MAX_ITER = 200
@@ -73,23 +76,14 @@ _HALLEY_MIN_DENOM = 0.5
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budget for the iterative solvers.
-
-    ``abs_tol`` is the absolute residual target |f(x)|; ``x_tol`` is the
-    relative bracket-width target; ``max_iter`` caps iterations (generous:
-    it exists to surface pathological bases near a = 1 as structured
-    errors rather than silent bad roots).
-    """
+    """Tolerance of ``newton_refine`` and ``solve_all``: ``abs_tol`` is
+    the absolute residual target |f(x)|."""
 
     abs_tol: float = 1e-12
-    x_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.x_tol < math.inf):
+        if not 0.0 < self.abs_tol < math.inf:
             raise ValueError("tolerances must be finite and strictly positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -173,7 +167,7 @@ def _raise_no_sign_change(
     bracket: RootBracket,
     f_lo: float,
     f_hi: float,
-    config: SolverConfig,
+    abs_tol: float,
 ) -> None:
     # f is convex: both endpoints positive with an interior minimum near
     # zero is the signature of a (near-)double root, invisible to sign
@@ -183,7 +177,7 @@ def _raise_no_sign_change(
         probe = x_star(base)
         if not (bracket.lo < probe < bracket.hi):
             probe = bracket.midpoint
-        tangent_suspected = abs(f_value(base, probe)) <= math.sqrt(config.abs_tol)
+        tangent_suspected = abs(f_value(base, probe)) <= math.sqrt(abs_tol)
     kind = (
         "tangent root suspected (interior minimum ~ 0)"
         if tangent_suspected
@@ -199,17 +193,16 @@ def _raise_no_sign_change(
     )
 
 
-def bisect(
-    base: BaseParameter, bracket: RootBracket, config: SolverConfig | None = None
-) -> tuple[float, int]:
-    """Bisection on a sign-change bracket; guaranteed convergence.
+def bisect(base: BaseParameter, bracket: RootBracket) -> tuple[float, int]:
+    """Bisection on a sign-change bracket, down to adjacent doubles.
 
-    Returns (x, iterations) with final bracket width <= x_tol*max(1, |x|).
+    Returns (x, iterations) once the midpoint rounds to an endpoint, so f
+    changes sign between x and a neighbouring double (or f(x) == 0).
     Raises BracketError when f does not change sign across the (slightly
-    widened) bracket.  The library itself solves with ``newton_refine``;
-    this stays public as the independent reference its tests check it by.
+    widened) bracket, and ConvergenceError after 200 steps.  The library
+    itself solves with ``newton_refine``; this stays public as the
+    independent reference its tests check it by.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
     lo, hi = _widened(bracket)
     f_lo = f_value(base, lo)
     f_hi = f_value(base, hi)
@@ -218,16 +211,16 @@ def bisect(
     if f_hi == 0.0:
         return hi, 0
     if (f_lo > 0.0) == (f_hi > 0.0):
-        _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg)
+        _raise_no_sign_change(base, bracket, f_lo, f_hi, _DEFAULT_CONFIG.abs_tol)
 
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.x_tol * max(1.0, abs(mid)) or mid == lo or mid == hi:
+        if mid == lo or mid == hi:
             return mid, iterations
-        if iterations >= cfg.max_iter:
+        if iterations >= _MAX_ITER:
             raise ConvergenceError(
-                f"bisection exceeded {cfg.max_iter} iterations on "
+                f"bisection exceeded {_MAX_ITER} iterations on "
                 f"[{bracket.lo}, {bracket.hi}]",
                 mid,
                 abs(f_value(base, mid)),
@@ -239,9 +232,9 @@ def bisect(
         if fm == 0.0:
             return mid, iterations
         if (fm > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, fm
+            lo = mid
         else:
-            hi, f_hi = mid, fm
+            hi = mid
 
 
 def newton_refine(
@@ -276,7 +269,7 @@ def newton_refine(
     if f_hi == 0.0:
         return hi, 0
     if (f_lo > 0.0) == (f_hi > 0.0):
-        _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg)
+        _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg.abs_tol)
 
     # orient so f(xl) < 0 < f(xh)
     if f_lo < 0.0:
@@ -294,7 +287,7 @@ def newton_refine(
     iterations = 0
 
     abs_tol = cfg.abs_tol
-    while iterations < cfg.max_iter:
+    while iterations < _MAX_ITER:
         if abs(fx) <= abs_tol:
             if dfx != 0.0:
                 x_new = x - fx / dfx

@@ -2,6 +2,7 @@
 and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -559,3 +560,81 @@ class TestSweepX1Seed:
             assert rec["classification"] == "two_roots"
             assert rec["status"] == "solver_error"
             assert rec["x1"] == solve_all(BaseParameter(rec["a"])).roots[0].x, rec
+
+
+class TestNegativeExponentValues:
+    """A token such as -1e-3 or -inf is a value, not an unknown option."""
+
+    def test_separate_token_matches_equals_form(self, capsys):
+        common = ("--x-hi", "1", "--steps", "3")
+        spaced = run_cli(capsys, "curve", "--a", "0.9", "--x-lo", "-1e-3", *common)
+        joined = run_cli(capsys, "curve", "--a", "0.9", "--x-lo=-1e-3", *common)
+        assert spaced[0] == joined[0] == EXIT_OK
+        assert spaced[1] == joined[1]
+
+    def test_minus_inf_is_domain_error(self, capsys):
+        common = ("--x-hi", "1", "--steps", "3")
+        spaced = run_cli(capsys, "curve", "--a", "0.9", "--x-lo", "-inf", *common)
+        joined = run_cli(capsys, "curve", "--a", "0.9", "--x-lo=-inf", *common)
+        assert spaced == joined
+        assert spaced[0] == EXIT_DOMAIN
+
+    def test_negative_base_still_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--a", "-1e-3")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+
+def _verified(capsys, a):
+    code, out, _ = run_cli(capsys, "solve", "--a", a, "--verify", "--format", "json")
+    assert code == EXIT_OK
+    (rec,) = json.loads(out)["records"]
+    return rec["verified"]
+
+
+class TestVerifyCanFail:
+    """solve --verify reports false when the grid scan disagrees."""
+
+    def _patch_scan(self, monkeypatch, change):
+        real = cli.scan_roots
+
+        def scan(*args):
+            result = real(*args)
+            return dataclasses.replace(
+                result, refined_roots=change(result.refined_roots)
+            )
+
+        monkeypatch.setattr(cli, "scan_roots", scan)
+
+    def test_scan_misses_a_root(self, capsys, monkeypatch):
+        assert _verified(capsys, "0.9") is True
+        self._patch_scan(monkeypatch, lambda roots: roots[:-1])
+        assert _verified(capsys, "0.9") is False
+
+    def test_scan_moves_a_root(self, capsys, monkeypatch):
+        self._patch_scan(monkeypatch, lambda roots: (roots[0] + 1e-3,) + roots[1:])
+        assert _verified(capsys, "0.9") is False
+
+    def test_tangent_minimum_off_zero(self, capsys, monkeypatch):
+        a = repr(critical_constants().a_max)
+        assert _verified(capsys, a) is True
+        x_dagger = critical_constants().x_dagger
+        monkeypatch.setattr(cli, "min_scan", lambda *args: (x_dagger, 1e-3))
+        assert _verified(capsys, a) is False
+
+
+class TestSafetyPaths:
+    def test_tangent_residual_above_tol_exits_solver_failure(self, capsys):
+        a = repr(critical_constants().a_max)
+        code, out, err = run_cli(capsys, "solve", "--a", a, "--tol", "1e-40")
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "tangent-root residual" in err
+
+    def test_zero_base_residuals_are_null(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--a", "0", "--format", "json")
+        assert code == EXIT_OK
+        (rec,) = json.loads(out)["records"]
+        assert rec["x1"] == 0.0
+        assert rec["x1_residual"] is None
+        assert rec["x2_residual"] is None
