@@ -44,6 +44,7 @@ from .solvers import (
     SolverConfig,
     SolverError,
     _seed,
+    _tangent_model,
     newton_refine,
     solve_all,
 )
@@ -357,7 +358,8 @@ def _sweep_record(base: BaseParameter) -> dict[str, Any]:
             record["status"] = "solver_error"
     # x2 is skipped or failed: report x1 alone
     try:
-        record["x1"], _ = newton_refine(base, _seed(base, b1), b1)
+        seed = _seed(base, b1, _tangent_model(base))
+        record["x1"], _ = newton_refine(base, seed, b1, lo_negative=False)
     except SolverError:
         record["status"] = "solver_error"
     return record

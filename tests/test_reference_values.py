@@ -95,3 +95,54 @@ def test_refined_lower_bound_failure_is_real():
     xs, x1, x2 = _mp_roots(0.98)
     refined_lo = mp.mpf(3) / 2 * xs - x1 / 2
     assert refined_lo > x2
+
+
+# |ln a| at which the refined lower end (3/2)x* - x1/2 meets x2: below it
+# the end overshoots x2, above it (up to the tangent slope T) it bounds x2
+T0_REF = 0.040969159959903385
+
+
+def _mp_newton_root(t, x):
+    """Root of 2*cosh(t x) = x by Newton's method from x, where f(x) > 0:
+    f is convex, so the iterates move monotonically onto the nearer root."""
+    for _ in range(200):
+        step = (2 * mp.cosh(t * x) - x) / (2 * t * mp.sinh(t * x) - 1)
+        x -= step
+        if abs(step) <= abs(x) * mp.mpf(10) ** -35:
+            return x
+    raise AssertionError(f"no convergence at t={t}")
+
+
+def _mp_refined_gap(t):
+    """(x2 - ((3/2)x* - x1/2), (2x* - x1) - x2) at |ln a| = t, 40 digits."""
+    t = mp.mpf(t)
+    xs = mp.asinh(1 / (2 * t)) / t
+    x1 = _mp_newton_root(t, mp.mpf(2))
+    x2 = _mp_newton_root(t, 2 * xs - 2)
+    return x2 - (3 * xs - x1) / 2, (2 * xs - x1) - x2
+
+
+def test_refined_bracket_reach_is_pinned():
+    from coshroots.solvers import _REFINED_MIN_LOG
+
+    t0 = mp.findroot(
+        lambda t: _mp_refined_gap(t)[0], (0.0409, 0.0411), solver="anderson"
+    )
+    assert abs(t0 - T0_REF) <= 1e-12
+    assert t0 <= _REFINED_MIN_LOG <= t0 * (1 + mp.mpf("1e-8"))
+
+    # 60 log-spaced |ln a| on each side, ending at t0(1 -+ 1e-6) and T(1 - 1e-9)
+    t_max = critical_constants().tangent_log
+    below = mp.linspace(mp.log(1e-8), mp.log(T0_REF * (1 - 1e-6)), 60)
+    above = mp.linspace(mp.log(T0_REF * (1 + 1e-6)), mp.log(t_max * (1 - 1e-9)), 60)
+    for log_t in below:
+        lower_gap, upper_gap = _mp_refined_gap(mp.exp(log_t))
+        assert lower_gap < 0 < upper_gap, mp.exp(log_t)
+    for log_t in above:
+        lower_gap, upper_gap = _mp_refined_gap(mp.exp(log_t))
+        assert lower_gap > 0 and upper_gap > 0, mp.exp(log_t)
+
+    for t, provenance in ((0.0409, "minimizer_based"), (0.0411, "refined_given_x1")):
+        for sign in (-1, 1):
+            report = solve_all(BaseParameter(float(mp.exp(sign * t))))
+            assert report.roots[1].bracket.provenance.value == provenance

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import coshroots.solvers as solvers
 from coshroots import (
     BaseParameter,
     BracketError,
@@ -16,9 +17,12 @@ from coshroots import (
     ConvergenceError,
     RootBracket,
     SolverConfig,
+    SolverError,
     bisect,
     bounds_x1,
     bounds_x2_initial,
+    bounds_x2_refined,
+    classify,
     critical_constants,
     f_derivative,
     f_value,
@@ -485,3 +489,80 @@ class TestSeededHalley:
             x, _ = newton_refine(base, float(seed), bracket)
             assert lo <= x <= hi, seed
             assert abs(f_value(base, x)) <= 1e-12, seed
+
+
+def _outcome(call):
+    """(x, iterations), or the error's kind and text."""
+    try:
+        return call()
+    except SolverError as err:
+        return type(err).__name__, str(err)
+
+
+class TestProvenOrientation:
+    """``newton_refine(..., lo_negative=...)``: the orientation the analytic
+    bounds prove stands in for the endpoint evaluations, with the same
+    answer, and public calls without it still check the ends."""
+
+    def test_no_root_base_on_analytic_bracket_still_raises(self):
+        with pytest.raises(BracketError) as err:
+            newton_refine(BaseParameter(2.0), 2.5, bounds_x1())
+        assert err.value.f_lo > 0.0 and err.value.f_hi > 0.0
+        assert not err.value.tangent_suspected
+
+    @staticmethod
+    def _bases():
+        rng = np.random.default_rng(SEED + 11)
+        t_max = critical_constants().tangent_log
+        bulk = rng.uniform(4e-3, t_max, 1700)
+        edge = t_max * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 500))
+        ts = np.concatenate([bulk, edge])
+        signs = rng.choice([-1.0, 1.0], len(ts))
+        bases = [BaseParameter(math.exp(float(s * t))) for s, t in zip(signs, ts)]
+        return [b for b in bases if classify(b).tag is ClassificationTag.TWO_ROOTS]
+
+    def test_same_answer_as_endpoint_check(self):
+        bases = self._bases()
+        assert len(bases) >= 2000
+        refined_count = 0
+        for base in bases:
+            quad = solvers._tangent_model(base)
+            b1, b2 = classify(base).brackets
+            brackets = [(b1, False), (b2, True)]
+            x1, _ = newton_refine(base, solvers._seed(base, b1, quad), b1)
+            if abs(base.ln_a) > solvers._REFINED_MIN_LOG:
+                brackets.append((bounds_x2_refined(base, x1), True))
+                refined_count += 1
+            for bracket, neg in brackets:
+                seed = solvers._seed(base, bracket, quad)
+                plain = _outcome(lambda: newton_refine(base, seed, bracket))
+                proven = _outcome(
+                    lambda: newton_refine(base, seed, bracket, lo_negative=neg)
+                )
+                assert repr(proven) == repr(plain), (base, bracket)
+        assert refined_count >= 1500
+
+    @pytest.mark.parametrize("a", [0.9, 1.02])
+    def test_solve_all_evaluates_no_bracket_end(self, a, monkeypatch):
+        base = BaseParameter(a)
+        xs = []
+
+        def recorder(b, x):
+            xs.append(x)
+            return f_value(b, x)
+
+        monkeypatch.setattr(solvers, "f_value", recorder)
+        report = solve_all(base)
+        monkeypatch.undo()
+        x1 = report.roots[0].x
+        refined = bounds_x2_refined(base, x1)
+        ends = {refined.lo}
+        for bracket in (bounds_x1(), bounds_x2_initial(base), refined):
+            ends.update(solvers._widened(bracket))
+        assert xs and not ends.intersection(xs)
+        expected = (
+            BracketProvenance.REFINED_GIVEN_X1
+            if abs(base.ln_a) > solvers._REFINED_MIN_LOG
+            else BracketProvenance.MINIMIZER_BASED
+        )
+        assert report.roots[1].bracket.provenance is expected
