@@ -32,6 +32,7 @@ from typing import Any
 from .core import (
     BaseParameter,
     ClassificationTag,
+    _range_width,
     bounds_x2_refined,
     classify,
     critical_constants,
@@ -43,9 +44,8 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     SolverError,
-    _seed,
-    _tangent_model,
-    newton_refine,
+    _roots,
+    newton_refine,  # unused; perfbench/tracer.py wraps cli.newton_refine
     solve_all,
 )
 
@@ -313,10 +313,8 @@ def _cmd_curve(args: argparse.Namespace) -> str:
         raise ValueError("curve is undefined for a = 0")
     if args.coth_view and base.ln_a == 0.0:
         raise ValueError("the coth view is undefined for a = 1")
-    if not 0.0 < args.x_hi - args.x_lo < math.inf:
-        raise ValueError(f"need x_lo < x_hi, got [{args.x_lo}, {args.x_hi}]")
     n = args.steps
-    step = (args.x_hi - args.x_lo) / (n - 1)
+    step = _range_width(args.x_lo, args.x_hi, "x_lo", "x_hi") / (n - 1)
     y_name = "two_coth" if args.coth_view else "f"
     records = []
     for i in range(n):
@@ -332,44 +330,32 @@ def _cmd_curve(args: argparse.Namespace) -> str:
 
 def _sweep_record(base: BaseParameter) -> dict[str, Any]:
     outcome = classify(base)
-    tag = outcome.tag
     record: dict[str, Any] = {
         "a": base.a,
-        "classification": tag.value,
+        "classification": outcome.tag.value,
         "status": "ok",
         "x1": None,
         "x2": None,
     }
-    if tag is ClassificationTag.NO_ROOT:
+    if outcome.tag is ClassificationTag.NO_ROOT:
         record["status"] = "no_root"
         return record
-    if tag is not ClassificationTag.TWO_ROOTS:
-        record["x1"] = outcome.root
-        return record
-    b1, b2_initial = outcome.brackets
-    if b2_initial.hi > _X2_OVERFLOW_LIMIT:
-        # x2 diverges as a -> 1; don't emit an unreliable float
-        record["status"] = "x2_overflow"
-    else:
-        try:
-            record["x1"], record["x2"] = (r.x for r in solve_all(base).roots)
-            return record
-        except SolverError:
-            record["status"] = "solver_error"
-    # x2 is skipped or failed: report x1 alone
+    xs = (root.x for root in _roots(base, outcome, None))
     try:
-        seed = _seed(base, b1, _tangent_model(base))
-        record["x1"], _ = newton_refine(base, seed, b1, lo_negative=False)
-    except SolverError:
+        record["x1"] = next(xs)
+        if outcome.brackets is not None and outcome.brackets[1].hi > _X2_OVERFLOW_LIMIT:
+            # x2 diverges as a -> 1; don't emit an unreliable float
+            record["status"] = "x2_overflow"
+        else:
+            record["x2"] = next(xs, None)  # None after a single root
+    except SolverError:  # x1, if solved, still stands
         record["status"] = "solver_error"
     return record
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    if not 0.0 < args.a_hi - args.a_lo < math.inf:
-        raise ValueError(f"need a_lo < a_hi, got [{args.a_lo}, {args.a_hi}]")
     n = args.steps
-    step = (args.a_hi - args.a_lo) / (n - 1)
+    step = _range_width(args.a_lo, args.a_hi, "a_lo", "a_hi") / (n - 1)
     records = []
     for i in range(n):
         a = args.a_lo + i * step if i < n - 1 else args.a_hi

@@ -61,7 +61,7 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
 def _two_product(x: float, y: float) -> tuple[float, float]:
-    """Dekker product: p + e == x*y exactly (safe for |x*y| < ~1e291)."""
+    """Dekker product: p + e == x*y exactly (|x|, |y| < ~1.3e300, |x*y| < ~1e291)."""
     p = x * y
     cx = _SPLIT * x
     hx = cx - (cx - x)
@@ -71,6 +71,17 @@ def _two_product(x: float, y: float) -> tuple[float, float]:
     ly = y - hy
     e = ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
     return p, e
+
+
+def _range_width(lo: float, hi: float, lo_name: str, hi_name: str) -> float:
+    """hi - lo, else a ValueError naming the range [lo, hi] as given."""
+    width = hi - lo
+    if not 0.0 < width < math.inf:
+        problem = f"need finite {lo_name} < {hi_name}"
+        if lo < hi and math.isfinite(lo) and math.isfinite(hi):
+            problem = f"the width {hi_name} - {lo_name} overflows"
+        raise ValueError(f"{problem}, got [{lo}, {hi}]")
+    return width
 
 
 @dataclass(frozen=True)
@@ -257,12 +268,15 @@ def f_value(base: BaseParameter, x: float) -> float:
     second root reaches ~1e4 and a naively rounded product alone would
     perturb f by several times 1e-12.
     """
-    if base.a == 0.0:
-        raise ValueError("f is undefined for a = 0 (see classify)")
     x = float(x)
     w, w_err = _two_product(x, base.ln_a)
-    if abs(w) >= _COSH_SATURATION:
-        return math.inf
+    if not 0.0 < abs(w) < _COSH_SATURATION:  # rare cases share one hot-path test
+        if base.a == 0.0:  # ln a = -inf
+            raise ValueError("f is undefined for a = 0 (see classify)")
+        if w == 0.0:  # a = 1 or x = 0: w_err is nan once |x| > ~1.3e300
+            return 2.0 - x
+        if abs(w) >= _COSH_SATURATION:
+            return math.inf
     return (2.0 * math.cosh(w) - x) + 2.0 * math.sinh(w) * w_err
 
 

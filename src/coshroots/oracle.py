@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BaseParameter
+from .core import BaseParameter, _range_width
 
 __all__ = ["ScanResult", "scan_roots", "min_scan"]
 
@@ -86,13 +86,12 @@ def _grid(
     """
     if base.a <= 0.0:
         raise ValueError("scan requires a > 0")
-    if not x_lo < x_hi:
-        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    x_lo, x_hi = float(x_lo), float(x_hi)
+    width = _range_width(x_lo, x_hi, "x_lo", "x_hi")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    x_lo, x_hi = float(x_lo), float(x_hi)
     idx, xs, p, fv = _workspace(grid_size)
-    step = (x_hi - x_lo) / (grid_size - 1)
+    step = width / (grid_size - 1)
     if step == 0.0:
         # A subnormal span: linspace divides before it multiplies here.
         xs = np.linspace(x_lo, x_hi, grid_size)
@@ -117,7 +116,7 @@ def scan_roots(
     collects each adjacent pair with opposite signs, and bisects each pair
     to a relative width of 1e-12.  Grid points where f is exactly zero
     are reported as roots directly.  An empty result is valid (no roots in
-    range, or only a tangency).
+    range, or only a tangency).  A non-finite range or width raises ValueError.
     """
     xs, fv = _grid(base, x_lo, x_hi, grid_size)
     a = base.a

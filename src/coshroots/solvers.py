@@ -9,12 +9,12 @@ the derivative degenerates, or progress is too slow.  Once |f| meets the
 tolerance it returns the point one Newton step further on, so stopping
 early costs no accuracy.  Convexity of f(x) = 2*cosh(x*ln a) - x
 guarantees at most one sign change inside each analytic bracket.
-``solve_all`` seeds x1 with two fixed-point steps of x = 2*cosh(x*ln a)
-from 2, and both roots near the tangent base from the quadratic model of
-f at its minimiser; x2 elsewhere starts at its bracket's midpoint.
-The paper's bounds fix the sign of f at every bracket end, so solve_all
-evaluates f at none: it passes the orientation (``lo_negative``) and takes x2's
-refined bracket by |ln a| alone where it holds, 0.0409691599599 < |ln a| < T.
+One generator, ``_roots``, solves a classified base's roots in order,
+from the seeds ``_seed`` picks, for both ``solve_all`` and the CLI sweep.
+The paper's bounds fix the sign of f at every bracket end, so it
+evaluates f at none: it passes the orientation (``lo_negative``) and takes
+x2's refined bracket by |ln a| alone where it holds, 0.0409691599599 <
+|ln a| < T.
 
 Also houses the Lambert-W baseline for the simpler fixed-point family
 a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
@@ -27,6 +27,7 @@ the reports are immutable values, so concurrent solves are safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -407,13 +408,13 @@ def _second_root_bracket(
     return refined if abs(base.ln_a) > _REFINED_MIN_LOG else initial
 
 
-def solve_all(
-    base: BaseParameter, config: SolverConfig | None = None
-) -> SolveReport:
-    """Classify the base and solve every root it implies.
+def _roots(
+    base: BaseParameter, outcome: SolutionClassification, config: SolverConfig | None
+) -> Iterator[RootResult]:
+    """Yield each root ``outcome`` implies, ascending, as soon as it is solved.
 
-    No-root bases return an empty report; unit/zero/tangent bases return
-    their analytic root without iteration (the zero-base root is the
+    No-root bases yield nothing; unit/zero/tangent bases yield their
+    analytic root without iteration (the zero-base root is the
     conventional x = 0, with residual reported as nan since f is undefined
     at a = 0).  Two-root bases solve x1 on its universal bracket first,
     then x2 on the refined bracket that knowing x1 unlocks where it is
@@ -422,12 +423,16 @@ def solve_all(
     Solver failures propagate with the offending bracket attached.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
-    outcome = classify(base)
     tag = outcome.tag
-
-    if tag is ClassificationTag.NO_ROOT:
-        roots: tuple[RootResult, ...] = ()
-    elif tag is not ClassificationTag.TWO_ROOTS:  # zero, unit or tangent base
+    if tag is ClassificationTag.TWO_ROOTS:
+        b1, b2_initial = outcome.brackets
+        quad = _tangent_model(base)
+        x1, it1 = newton_refine(base, _seed(base, b1, quad), b1, cfg, lo_negative=False)
+        yield RootResult(x1, f_value(base, x1), it1, b1)
+        b2 = _second_root_bracket(base, x1, b2_initial)
+        x2, it2 = newton_refine(base, _seed(base, b2, quad), b2, cfg, lo_negative=True)
+        yield RootResult(x2, f_value(base, x2), it2, b2)
+    elif tag is not ClassificationTag.NO_ROOT:  # zero, unit or tangent base
         x = outcome.root
         residual = math.nan if outcome.by_convention else f_value(base, x)
         # double root: |f| scales with the square of the x-error, so the
@@ -442,20 +447,15 @@ def solve_all(
                 0,
                 None,
             )
-        roots = (RootResult(x, residual, 0, None),)
-    else:  # TWO_ROOTS
-        assert outcome.brackets is not None
-        b1, b2_initial = outcome.brackets
-        quad = _tangent_model(base)
-        x1, it1 = newton_refine(base, _seed(base, b1, quad), b1, cfg, lo_negative=False)
-        b2 = _second_root_bracket(base, x1, b2_initial)
-        x2, it2 = newton_refine(base, _seed(base, b2, quad), b2, cfg, lo_negative=True)
-        roots = (
-            RootResult(x1, f_value(base, x1), it1, b1),
-            RootResult(x2, f_value(base, x2), it2, b2),
-        )
+        yield RootResult(x, residual, 0, None)
 
-    return SolveReport(classification=outcome, roots=roots)
+
+def solve_all(
+    base: BaseParameter, config: SolverConfig | None = None
+) -> SolveReport:
+    """Classify the base and solve every root it implies, as ``_roots`` does."""
+    outcome = classify(base)
+    return SolveReport(outcome, tuple(_roots(base, outcome, config)))
 
 
 def lambert_w_principal(z: float) -> float:

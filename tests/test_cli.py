@@ -11,7 +11,13 @@ import pytest
 
 import coshroots.cli as cli
 import coshroots.solvers as solvers
-from coshroots import critical_constants, solve_all, x_star, BaseParameter
+from coshroots import (
+    BaseParameter,
+    BracketProvenance,
+    critical_constants,
+    solve_all,
+    x_star,
+)
 from coshroots.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -295,6 +301,18 @@ class TestCurve:
         assert recs[1]["two_coth"] == ""  # undefined at x = 0
         assert float(recs[2]["two_coth"]) == pytest.approx(2.0 / math.tanh(t))
 
+    def test_unit_base_at_huge_x(self, capsys):
+        # f = 2 - x at a = 1, also where |x| is too large for a Veltkamp split
+        code, out, _ = run_cli(
+            capsys,
+            "curve", "--a", "1", "--x-lo", "0", "--x-hi", "1.7e308", "--steps", "3",
+            "--full-precision",
+        )
+        assert code == EXIT_OK
+        recs = parse_csv(out)
+        assert len(recs) == 3 and float(recs[-1]["x"]) == 1.7e308
+        assert all(float(r["f"]) == 2.0 - float(r["x"]) for r in recs)
+
     def test_zero_base_rejected(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--a", "0", "--x-lo", "0", "--x-hi", "1")
         assert code == EXIT_DOMAIN
@@ -494,8 +512,9 @@ class TestOneClassification:
             (("table",), 5),
             (("bounds", "--a", "1.08", "--x1", "2.0243"), 1),
             (("classify", "--a", "0.9"), 1),
+            (("sweep", "--a-lo", "0.8", "--a-hi", "0.9", "--steps", "5"), 5),
         ],
-        ids=["solve-verify", "table", "bounds", "classify"],
+        ids=["solve-verify", "table", "bounds", "classify", "sweep"],
     )
     def test_classify_calls(self, capsys, monkeypatch, argv, calls):
         bases = []
@@ -540,22 +559,46 @@ class TestNonFiniteRange:
         assert out == ""
         assert "[0.5, inf]" in err and "nan" not in err
 
+    def test_curve_width_overflow_is_named(self, capsys):
+        # x_lo < x_hi holds here; the width x_hi - x_lo is what overflows
+        code, out, err = run_cli(
+            capsys, "curve", "--a", "0.9", "--x-lo", "-1e308", "--x-hi", "1e308"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "overflows" in err and "need x_lo < x_hi" not in err
+        assert "[-1e+308, 1e+308]" in err
+
 
 class TestSweepX1Seed:
     def test_x1_alone_matches_solve_all(self, capsys, monkeypatch):
-        # The x1-only fallback row seeds newton_refine as solve_all does,
-        # so it reports the same double.
-        def failing(base, config=None):
-            raise solvers.SolverError("forced")
+        # A row whose x2 fails keeps the x1 it solved first, the double
+        # solve_all reports, and solves nothing twice: one x1 solve and one
+        # failed x2 solve, counted across the cli and solvers bindings.
+        real = solvers.newton_refine
+        calls = []
 
-        monkeypatch.setattr(cli, "solve_all", failing)
+        def x2_fails(base, seed, bracket, *args, **kwargs):
+            calls.append(bracket.provenance)
+            if bracket.provenance is not BracketProvenance.AFFINE_MINORANT:
+                raise solvers.SolverError("forced")
+            return real(base, seed, bracket, *args, **kwargs)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "newton_refine", x2_fails)
+        monkeypatch.setattr(cli, "newton_refine", counted)
         code, out, _ = run_cli(
             capsys, "sweep", "--a-lo", "0.72", "--a-hi", "0.98", "--steps", "20",
             "--format", "json", "--full-precision",
         )
+        monkeypatch.undo()
         assert code == EXIT_OK
         records = json.loads(out)["records"]
         assert len(records) == 20
+        assert len(calls) == 2 * len(records)
         for rec in records:
             assert rec["classification"] == "two_roots"
             assert rec["status"] == "solver_error"

@@ -134,6 +134,13 @@ class TestFValue:
         with pytest.raises(ValueError):
             f_value(BaseParameter(0.0), 1.0)
 
+    @pytest.mark.parametrize("x", [1.4e300, 1.7976931348623157e308])
+    def test_unit_base_is_affine_at_huge_x(self, x):
+        # |x| beyond ~1.34e300 overflows the Veltkamp split of x*ln a
+        b = BaseParameter(1.0)
+        assert f_value(b, x) == 2.0 - x
+        assert f_value(b, -x) == 2.0 + x
+
 
 class TestFDerivative:
     def test_unit_base_slope(self):

@@ -1,6 +1,8 @@
 """Tests for the brute-force grid scan and its agreement with the
 analytic machinery."""
 
+import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -153,6 +155,16 @@ class TestMinScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             min_scan(BaseParameter(0.0), 0.0, 1.0, 100)
+
+
+@pytest.mark.parametrize(
+    "x_lo, x_hi", [(-10.0, math.inf), (-math.inf, 10.0), (-1e308, 1e308)]
+)
+@pytest.mark.parametrize("scan", [scan_roots, min_scan])
+def test_range_it_cannot_grid_is_rejected(scan, x_lo, x_hi):
+    # an infinite end, or a width that overflows, leaves no finite step
+    with pytest.raises(ValueError, match=re.escape(f"[{x_lo}, {x_hi}]")):
+        scan(BaseParameter(0.9), x_lo, x_hi, 1001)
 
 
 class TestAgainstTwoPowerReference:
