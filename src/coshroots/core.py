@@ -13,8 +13,9 @@ tangent (double) root is ``x = 2*cosh(q)``.
 
 This module holds the base/constant types, the function family and its
 derivative, regime classification, and the analytic root brackets that
-seed the solvers.  Everything here is pure and immutable; all functions
-are safe to call concurrently.
+seed the solvers.  Everything here is pure and immutable (the bracket and
+classification records are ``NamedTuple``s); all functions are safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "BaseParameter",
@@ -205,17 +207,27 @@ class BracketProvenance(enum.Enum):
     ORACLE_SCAN = "oracle_scan"
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Closed interval guaranteed to contain exactly one root."""
-
+class _RootBracketFields(NamedTuple):
     lo: float
     hi: float
     provenance: BracketProvenance
 
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+
+class RootBracket(_RootBracketFields):
+    """Closed interval guaranteed to contain exactly one root."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, lo: float, hi: float, provenance: BracketProvenance
+    ) -> RootBracket:
+        if not (lo < hi):
+            raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi, provenance))
+
+    @classmethod
+    def _make(cls, iterable) -> RootBracket:  # so that _replace checks lo < hi
+        return cls(*iterable)
 
     @property
     def midpoint(self) -> float:
@@ -226,8 +238,7 @@ class RootBracket:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class SolutionClassification:
+class SolutionClassification(NamedTuple):
     """Tagged root-count outcome for one base.
 
     ``root`` carries the analytic root for the single-root tags
@@ -255,11 +266,28 @@ class SolutionClassification:
         return 1
 
 
+def _rare_values(base: BaseParameter, x: float, w: float) -> tuple[float, float]:
+    """(f, f') where ``w = x*ln a`` is 0, nan or past the cosh saturation.
+
+    a = 0 raises.  At a = 1 or x = 0 f is ``2 - x`` with slope -1; the
+    a = 1 test also covers infinite x, where w is nan.  Past the
+    saturation it is ``(inf, ±inf)``, the sign of x; a nan x gives nan.
+    """
+    if base.a == 0.0:  # ln a = -inf
+        raise ValueError("f is undefined for a = 0 (see classify)")
+    if w == 0.0 or base.ln_a == 0.0:  # w_err is nan once |x| > ~1.3e300
+        return 2.0 - x, -1.0
+    if abs(w) >= _COSH_SATURATION:
+        return math.inf, math.inf if x > 0.0 else -math.inf
+    return math.nan, math.nan
+
+
 def f_value(base: BaseParameter, x: float) -> float:
     """Evaluate f(x) = 2*cosh(x*ln a) - x.
 
     Requires ``a > 0``.  When ``|x*ln a|`` is large enough to overflow the
     cosh, returns ``+inf`` (the cosh term is always positive and dominant).
+    At a = 1 it is ``2 - x`` for every x, infinite x included.
 
     The product ``x*ln a`` is formed with a compensated (exact) product and
     the first-order correction ``2*sinh(w)*err`` is added back, so the
@@ -271,12 +299,7 @@ def f_value(base: BaseParameter, x: float) -> float:
     x = float(x)
     w, w_err = _two_product(x, base.ln_a)
     if not 0.0 < abs(w) < _COSH_SATURATION:  # rare cases share one hot-path test
-        if base.a == 0.0:  # ln a = -inf
-            raise ValueError("f is undefined for a = 0 (see classify)")
-        if w == 0.0:  # a = 1 or x = 0: w_err is nan once |x| > ~1.3e300
-            return 2.0 - x
-        if abs(w) >= _COSH_SATURATION:
-            return math.inf
+        return _rare_values(base, x, w)[0]
     return (2.0 * math.cosh(w) - x) + 2.0 * math.sinh(w) * w_err
 
 
@@ -285,14 +308,28 @@ def f_derivative(base: BaseParameter, x: float) -> float:
 
     Requires ``a > 0``.  Saturates to ``±inf`` (sign of x) when the sinh
     would overflow; ``ln(a)*sinh(x*ln a)`` always carries the sign of x.
+    At a = 1 it is -1 for every x, infinite x included.
     """
-    if base.a == 0.0:
-        raise ValueError("f' is undefined for a = 0")
     x = float(x)
     w = x * base.ln_a
-    if abs(w) >= _COSH_SATURATION:
-        return math.inf if x > 0.0 else -math.inf
+    if not 0.0 < abs(w) < _COSH_SATURATION:
+        return _rare_values(base, x, w)[1]
     return 2.0 * base.ln_a * math.sinh(w) - 1.0
+
+
+def _f_and_derivative(base: BaseParameter, x: float) -> tuple[float, float]:
+    """``(f_value(base, x), f_derivative(base, x))`` bit for bit, x a float.
+
+    The solvers' per-step kernel: one compensated product, one sinh and
+    one cosh serve both values, and the rare cases take the same one test
+    and branch as ``f_value``.
+    """
+    t = base.ln_a
+    w, w_err = _two_product(x, t)
+    if not 0.0 < abs(w) < _COSH_SATURATION:
+        return _rare_values(base, x, w)
+    s = math.sinh(w)
+    return (2.0 * math.cosh(w) - x) + 2.0 * s * w_err, 2.0 * t * s - 1.0
 
 
 def x_star(base: BaseParameter) -> float:

@@ -2,10 +2,12 @@
 
 The safeguarded iteration maintains a sign-change bracket and takes
 Halley steps, which cost no extra evaluation because
-f''(x) = (ln a)**2 * (f(x) + x).  It falls back to a Newton step where the
-Halley denominator is small or the Halley step would leave the bracket,
-and to a bisection step whenever the Newton step would leave the bracket,
-the derivative degenerates, or progress is too slow.  Once |f| meets the
+f''(x) = (ln a)**2 * (f(x) + x); each step evaluates f and f' together
+with ``core._f_and_derivative``, one sinh and one cosh.  It falls back to
+a Newton step where the Halley denominator is small or the Halley step
+would leave the bracket, and to a bisection step whenever the Newton
+step would leave the bracket, the derivative degenerates, or progress is
+too slow.  Once |f| meets the
 tolerance it returns the point one Newton step further on, so stopping
 early costs no accuracy.  Convexity of f(x) = 2*cosh(x*ln a) - x
 guarantees at most one sign change inside each analytic bracket.
@@ -21,7 +23,8 @@ a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
 branch.
 
 All functions are pure; the config (one residual target, ``abs_tol``) and
-the reports are immutable values, so concurrent solves are safe.
+the reports (``NamedTuple``s) are immutable values, so concurrent solves
+are safe.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BaseParameter,
     ClassificationTag,
     RootBracket,
     SolutionClassification,
+    _f_and_derivative,
     bounds_x2_refined,
     classify,
     critical_constants,
-    f_derivative,
+    f_derivative,  # unused; perfbench/tracer.py wraps solvers.f_derivative
     f_value,
     x_star,
 )
@@ -78,6 +83,10 @@ _TANGENT_SEED_BAND = 0.05
 # tests/test_reference_values.py), here rounded up so it is never used below t0.
 _REFINED_MIN_LOG = 0.04096916
 
+# Fixed-point steps x = acosh(x/2)/|ln a| that move x2's seed from its
+# bracket's midpoint towards x2, outside the tangent-model band.
+_X2_SEED_STEPS = 3
+
 # A Halley denominator below this (a step more than twice Newton's) is
 # not trusted; the Newton step is taken instead.
 _HALLEY_MIN_DENOM = 0.5
@@ -98,8 +107,7 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """One solved root: location, signed residual f(x), iteration count,
     and the bracket that produced it (None for analytic shortcuts)."""
 
@@ -109,8 +117,7 @@ class RootResult:
     bracket: RootBracket | None
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Full outcome of solve_all: classification, roots sorted ascending
     (two entries for the two-root regime, one for the analytic single-root
     cases, none when no root exists)."""
@@ -261,16 +268,18 @@ def newton_refine(
     has one sign at both.  With it the caller vouches that f < 0 at the
     lower (True) or upper (False) end, and neither end is evaluated.
 
-    Each step is Halley's h / (1 - h*f''/(2f')) with h = f/f' and
-    f'' = (ln a)**2 * (f + x) taken from values already in hand.  Where
-    the Halley denominator is below 1/2 or the Halley step would leave the
-    maintained bracket, the Newton step h is taken instead; any step that
-    would leave the bracket, meet a degenerate derivative (|f'| < 1e-300),
-    or fail to halve the step before last falls back to one bisection
-    step.  Succeeds when |f(x)| <= abs_tol, returning x - f/f' (one more
-    Newton step, already computed) when that point stays in the bracket,
-    else x.  Raises ConvergenceError carrying the best iterate if the
-    budget runs out or the bracket collapses to machine resolution first.
+    The seed and every iterate are evaluated once, f and f' together
+    (``core._f_and_derivative``).  Each step is Halley's
+    h / (1 - h*f''/(2f')) with h = f/f' and f'' = (ln a)**2 * (f + x) taken
+    from values already in hand.  Where the Halley denominator is below
+    1/2 or the Halley step would leave the maintained bracket, the Newton
+    step h is taken instead; any step that would leave the bracket, meet a
+    degenerate derivative (|f'| < 1e-300), or fail to halve the step before
+    last falls back to one bisection step.  Succeeds when |f(x)| <= abs_tol,
+    returning x - f/f' (one more Newton step, already computed) when that
+    point stays in the bracket, else x.  Raises ConvergenceError carrying
+    the best iterate if the budget runs out or the bracket collapses to
+    machine resolution first.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     if not (bracket.lo <= seed <= bracket.hi):
@@ -294,8 +303,7 @@ def newton_refine(
 
     ln_a_sq = base.ln_a * base.ln_a
     x = float(seed)
-    fx = f_value(base, x)
-    dfx = f_derivative(base, x)
+    fx, dfx = _f_and_derivative(base, x)
     best_x, best_f = x, abs(fx)
     step_prev = abs(hi - lo)
     step = step_prev
@@ -334,8 +342,7 @@ def newton_refine(
             if x_new == x:
                 break
         x = x_new
-        fx = f_value(base, x)
-        dfx = f_derivative(base, x)
+        fx, dfx = _f_and_derivative(base, x)
         iterations += 1
         if abs(fx) < best_f:
             best_x, best_f = x, abs(fx)
@@ -379,16 +386,22 @@ def _seed(
     clamped into the bracket.  Elsewhere x1 (its bracket ends at the
     tangent abscissa) takes two fixed-point steps of x = 2*cosh(t*x) from
     x = 2; they rise monotonically towards x1, so stay in its bracket.  x2
-    starts at its bracket's midpoint.
+    takes ``_X2_SEED_STEPS`` steps of the inverse map x = acosh(x/2)/t
+    from its bracket's midpoint, clamped into the bracket against rounding:
+    the map is increasing and its slope at x2 is 1/(f'(x2) + 1) < 1, so the
+    steps move monotonically towards x2 from either side.
     """
     first = bracket.hi <= critical_constants().x_dagger
     if model is not None:
         xs, r = model
         return min(max(xs - r if first else xs + r, bracket.lo), bracket.hi)
+    t = abs(base.ln_a)
     if first:
-        t = abs(base.ln_a)
         return 2.0 * math.cosh(t * 2.0 * math.cosh(2.0 * t))
-    return bracket.midpoint
+    x = bracket.midpoint
+    for _ in range(_X2_SEED_STEPS):
+        x = math.acosh(0.5 * x) / t
+    return min(max(x, bracket.lo), bracket.hi)
 
 
 def _second_root_bracket(

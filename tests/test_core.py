@@ -2,6 +2,8 @@
 analytic brackets."""
 
 import math
+import random
+import struct
 
 import pytest
 
@@ -10,6 +12,7 @@ from coshroots import (
     BracketProvenance,
     ClassificationTag,
     RootBracket,
+    SolutionClassification,
     bounds_x1,
     bounds_x2_initial,
     bounds_x2_refined,
@@ -21,6 +24,7 @@ from coshroots import (
     f_value,
     x_star,
 )
+from coshroots.core import _f_and_derivative
 
 # independently computed at 40-digit precision
 Q_REF = 1.1996786402577338339
@@ -167,6 +171,68 @@ class TestFDerivative:
             f_derivative(BaseParameter(0.0), 1.0)
 
 
+class TestUnitBaseAtInfinity:
+    """At a = 1, f is 2 - x and f' is -1 for every x: x * ln a is nan at
+    infinite x, which must not leak into either value."""
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, 1e308, -1e308, 0.0])
+    def test_affine_values(self, x):
+        b = BaseParameter(1.0)
+        assert f_value(b, x) == 2.0 - x
+        assert f_derivative(b, x) == -1.0
+        assert _f_and_derivative(b, x) == (2.0 - x, -1.0)
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestFAndDerivative:
+    """The solvers' kernel against f_value and f_derivative, bit for bit."""
+
+    @staticmethod
+    def _bases(rng):
+        c = critical_constants()
+        bases = [1.0, c.a_min, c.a_max, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]
+        bases += [rng.uniform(0.6, 1.5) for _ in range(120)]
+        bases += [rng.uniform(1e-6, 1e6) for _ in range(20)]
+        for k in range(40):  # near-unit, both sides
+            t = 10.0 ** rng.uniform(-16.0, -2.0)
+            bases.append(math.exp(t if k % 2 else -t))
+        for k in range(40):  # near either tangent edge
+            t = c.tangent_log * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0))
+            bases.append(math.exp(t if k % 2 else -t))
+        return [BaseParameter(a) for a in bases]
+
+    @staticmethod
+    def _xs(rng, base):
+        xs = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1e308, -1e308, 1.4e300, -1.4e300, 2.0]
+        if base.ln_a != 0.0:  # either side of the cosh saturation
+            edge = 709.0 / abs(base.ln_a)
+            xs += [edge, -edge, math.nextafter(edge, 0.0), -math.nextafter(edge, 0.0)]
+        xs += [rng.uniform(-50.0, 50.0) for _ in range(200)]
+        xs += [math.copysign(10.0 ** rng.uniform(-320.0, 308.0), rng.random() - 0.5)
+               for _ in range(250)]
+        return xs
+
+    def test_bit_identical_to_f_value_and_f_derivative(self):
+        rng = random.Random(1301)
+        pairs = 0
+        for base in self._bases(rng):
+            for x in self._xs(rng, base):
+                pair = _f_and_derivative(base, x)
+                assert _bits(*pair) == _bits(f_value(base, x), f_derivative(base, x)), (
+                    base, x, pair
+                )
+                pairs += 1
+        assert pairs >= 100_000
+
+    def test_rejects_zero_base(self):
+        with pytest.raises(ValueError):
+            _f_and_derivative(BaseParameter(0.0), 1.0)
+
+
 class TestXStar:
     def test_table_value_09(self):
         assert abs(x_star(BaseParameter(0.9)) - 21.4624) <= 5e-4
@@ -251,6 +317,64 @@ class TestRootBracket:
         b = RootBracket(2.0, 4.0, BracketProvenance.ORACLE_SCAN)
         assert b.midpoint == 3.0
         assert b.width == 2.0
+
+    def test_message_and_replace_check_the_order(self):
+        message = r"^bracket requires lo < hi, got \[3.0, 2.0\]$"
+        with pytest.raises(ValueError, match=message):
+            RootBracket(3.0, 2.0, BracketProvenance.ORACLE_SCAN)
+        scan = BracketProvenance.ORACLE_SCAN
+        b = RootBracket(lo=2.0, hi=4.0, provenance=scan)
+        assert b._replace(hi=5.0) == RootBracket(2.0, 5.0, scan)
+        with pytest.raises(ValueError, match="lo < hi"):
+            b._replace(hi=1.0)
+
+
+# classify(BaseParameter(0.9)) as the frozen dataclasses printed it
+CLASSIFY_09_REPR = (
+    "SolutionClassification(tag=<ClassificationTag.TWO_ROOTS: 'two_roots'>, "
+    "root=None, brackets=(RootBracket(lo=2.0, hi=3.6203411613979544, "
+    "provenance=<BracketProvenance.AFFINE_MINORANT: 'affine_minorant'>), "
+    "RootBracket(lo=21.4623831288115, hi=40.924766257623, "
+    "provenance=<BracketProvenance.MINIMIZER_BASED: 'minimizer_based'>)))"
+)
+
+
+class TestRecords:
+    """The bracket and classification records are immutable NamedTuples
+    that print, hash and default as the frozen dataclasses before them."""
+
+    def test_repr_text(self):
+        assert repr(classify(BaseParameter(0.9))) == CLASSIFY_09_REPR
+        assert repr(classify(BaseParameter(1.0))) == (
+            "SolutionClassification(tag=<ClassificationTag.UNIT_BASE: "
+            "'unit_base'>, root=2.0, brackets=None)"
+        )
+
+    def test_immutable(self):
+        outcome = classify(BaseParameter(0.9))
+        for record in (outcome, outcome.brackets[1]):
+            for name in (record._fields[1], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 1.0)
+
+    def test_hash_is_the_field_tuples(self):
+        outcome = classify(BaseParameter(0.9))
+        assert hash(outcome) == hash(tuple(outcome))
+        assert hash(outcome.brackets[1]) == hash(tuple(outcome.brackets[1]))
+        assert {outcome, classify(BaseParameter(0.9))} == {outcome}
+
+    def test_defaults_and_properties(self):
+        bare = SolutionClassification(ClassificationTag.NO_ROOT)
+        assert bare.root is None and bare.brackets is None
+        assert bare.root_count == 0 and not bare.by_convention
+        assert SolutionClassification(ClassificationTag.ZERO_BASE, 0.0).by_convention
+        tangent = SolutionClassification(ClassificationTag.TANGENT_ROOT, 3.6)
+        assert tangent.root_count == 1
+        assert classify(BaseParameter(0.9)).root_count == 2
+
+    def test_equal_to_plain_tuple(self):
+        b = RootBracket(2.0, 4.0, BracketProvenance.ORACLE_SCAN)
+        assert b == (2.0, 4.0, BracketProvenance.ORACLE_SCAN)
 
 
 class TestBoundsX1:
