@@ -11,11 +11,11 @@ positive solution of ``coth(q) = q`` (a close relative of the Laplace
 limit constant).  The critical bases are ``exp(±1/(2*sinh q))`` and the
 tangent (double) root is ``x = 2*cosh(q)``.
 
-This module holds the base/constant types, the function family and its
-derivative, regime classification, and the analytic root brackets that
-seed the solvers.  Everything here is pure and immutable (the bracket and
-classification records are ``NamedTuple``s); all functions are safe to
-call concurrently.
+This module holds the base/constant types, f and f' (one evaluator whose
+views are ``f_value`` and ``f_derivative``), regime classification, and
+the analytic root brackets that seed the solvers.  Everything here is pure
+and immutable (the bracket and classification records are
+``NamedTuple``s); all functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -266,22 +266,6 @@ class SolutionClassification(NamedTuple):
         return 1
 
 
-def _rare_values(base: BaseParameter, x: float, w: float) -> tuple[float, float]:
-    """(f, f') where ``w = x*ln a`` is 0, nan or past the cosh saturation.
-
-    a = 0 raises.  At a = 1 or x = 0 f is ``2 - x`` with slope -1; the
-    a = 1 test also covers infinite x, where w is nan.  Past the
-    saturation it is ``(inf, ±inf)``, the sign of x; a nan x gives nan.
-    """
-    if base.a == 0.0:  # ln a = -inf
-        raise ValueError("f is undefined for a = 0 (see classify)")
-    if w == 0.0 or base.ln_a == 0.0:  # w_err is nan once |x| > ~1.3e300
-        return 2.0 - x, -1.0
-    if abs(w) >= _COSH_SATURATION:
-        return math.inf, math.inf if x > 0.0 else -math.inf
-    return math.nan, math.nan
-
-
 def f_value(base: BaseParameter, x: float) -> float:
     """Evaluate f(x) = 2*cosh(x*ln a) - x.
 
@@ -289,18 +273,15 @@ def f_value(base: BaseParameter, x: float) -> float:
     cosh, returns ``+inf`` (the cosh term is always positive and dominant).
     At a = 1 it is ``2 - x`` for every x, infinite x included.
 
-    The product ``x*ln a`` is formed with a compensated (exact) product and
-    the first-order correction ``2*sinh(w)*err`` is added back, so the
+    Both public functions are views of ``_f_and_derivative``, the one
+    evaluator.  It forms ``w = x*ln a`` with a compensated (exact) product
+    and adds the first-order correction ``2*sinh(w)*err`` back, so the
     result is accurate to ~1 ulp of ``2*cosh`` even when ``x`` is large.
     This matters for the 1e-12 absolute residual contract: near a = 1 the
     second root reaches ~1e4 and a naively rounded product alone would
     perturb f by several times 1e-12.
     """
-    x = float(x)
-    w, w_err = _two_product(x, base.ln_a)
-    if not 0.0 < abs(w) < _COSH_SATURATION:  # rare cases share one hot-path test
-        return _rare_values(base, x, w)[0]
-    return (2.0 * math.cosh(w) - x) + 2.0 * math.sinh(w) * w_err
+    return _f_and_derivative(base, float(x))[0]
 
 
 def f_derivative(base: BaseParameter, x: float) -> float:
@@ -310,24 +291,28 @@ def f_derivative(base: BaseParameter, x: float) -> float:
     would overflow; ``ln(a)*sinh(x*ln a)`` always carries the sign of x.
     At a = 1 it is -1 for every x, infinite x included.
     """
-    x = float(x)
-    w = x * base.ln_a
-    if not 0.0 < abs(w) < _COSH_SATURATION:
-        return _rare_values(base, x, w)[1]
-    return 2.0 * base.ln_a * math.sinh(w) - 1.0
+    return _f_and_derivative(base, float(x))[1]
 
 
 def _f_and_derivative(base: BaseParameter, x: float) -> tuple[float, float]:
-    """``(f_value(base, x), f_derivative(base, x))`` bit for bit, x a float.
+    """``(f(x), f'(x))`` for a float x, the one evaluator of both.
 
-    The solvers' per-step kernel: one compensated product, one sinh and
-    one cosh serve both values, and the rare cases take the same one test
-    and branch as ``f_value``.
+    ``f_value`` and ``f_derivative`` are its views; the solvers call it once
+    per step, so one compensated product, one sinh and one cosh serve both.
+    Rare cases share one hot-path test: a = 0 raises, a = 1 or x = 0 gives
+    ``(2 - x, -1)`` (at a = 1 w is nan for infinite x), past the cosh
+    saturation ``(inf, ±inf)`` with the sign of x, and a nan x gives nan.
     """
     t = base.ln_a
     w, w_err = _two_product(x, t)
     if not 0.0 < abs(w) < _COSH_SATURATION:
-        return _rare_values(base, x, w)
+        if base.a == 0.0:  # ln a = -inf
+            raise ValueError("f is undefined for a = 0 (see classify)")
+        if w == 0.0 or t == 0.0:  # w_err is nan once |x| > ~1.3e300
+            return 2.0 - x, -1.0
+        if abs(w) >= _COSH_SATURATION:
+            return math.inf, math.inf if x > 0.0 else -math.inf
+        return math.nan, math.nan
     s = math.sinh(w)
     return (2.0 * math.cosh(w) - x) + 2.0 * s * w_err, 2.0 * t * s - 1.0
 

@@ -134,7 +134,8 @@ class BracketError(SolverError):
     """The bracket endpoints do not straddle a sign change.
 
     ``tangent_suspected`` distinguishes "the interior minimum sits at
-    ~zero, this looks like a double root" from "no root in bracket".
+    ~zero, this looks like a double root" from "no root in bracket" and
+    "two roots in bracket"; the message names which.
     """
 
     def __init__(
@@ -187,18 +188,20 @@ def _raise_no_sign_change(
 ) -> None:
     # f is convex: both endpoints positive with an interior minimum near
     # zero is the signature of a (near-)double root, invisible to sign
-    # tests.  Both endpoints negative cannot hide a tangency.
+    # tests, and with a negative one of two roots.  Both endpoints
+    # negative cannot hide a root.
     tangent_suspected = False
+    kind = "no root in bracket"
     if f_lo > 0.0 and f_hi > 0.0 and base.a > 0.0 and base.ln_a != 0.0:
         probe = x_star(base)
         if not (bracket.lo < probe < bracket.hi):
-            probe = bracket.midpoint
-        tangent_suspected = abs(f_value(base, probe)) <= math.sqrt(abs_tol)
-    kind = (
-        "tangent root suspected (interior minimum ~ 0)"
-        if tangent_suspected
-        else "no root in bracket"
-    )
+            probe = bracket.midpoint  # f is monotone here: f(probe) > 0
+        f_min = f_value(base, probe)
+        tangent_suspected = abs(f_min) <= math.sqrt(abs_tol)
+        if tangent_suspected:
+            kind = "tangent root suspected (interior minimum ~ 0)"
+        elif f_min < 0.0:
+            kind = "two roots in bracket (f < 0 at the interior minimum)"
     raise BracketError(
         f"f has the same sign at both endpoints of [{bracket.lo}, {bracket.hi}] "
         f"(f_lo={f_lo:.3e}, f_hi={f_hi:.3e}): {kind}",
@@ -483,7 +486,7 @@ def lambert_w_principal(z: float) -> float:
     double-precision floor |e^w (1+w)| * ulp(w)/2 exceeds 1e-12, and the
     step test ends the iteration.  Where e^w (1+w) overflows (z above
     ~1.795e308) the step is taken in its e^-w-scaled form, so W is found
-    up to the largest double.
+    up to the largest double; W(inf) is inf.
     """
     z = float(z)
     if math.isnan(z):
@@ -496,6 +499,8 @@ def lambert_w_principal(z: float) -> float:
             raise ValueError(f"z={z!r} is below -1/e; W(z) is complex there")
     if z == neg_em1:
         return -1.0
+    if z == math.inf:
+        return math.inf  # W is increasing and unbounded
 
     if z > math.e:
         log_z = math.log(z)

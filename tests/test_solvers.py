@@ -115,6 +115,24 @@ class TestBisect:
         assert err.value.tangent_suspected
 
 
+@pytest.mark.parametrize("a, lo, hi, kind", [
+    # both ends positive, f(x*) = -11.76 < 0 in between: x1 and x2 inside
+    (0.9, 0.0, 100.0, "two roots in bracket (f < 0 at the interior minimum)"),
+    (0.9, 1.0, 50.0, "two roots in bracket (f < 0 at the interior minimum)"),
+    (2.0, 0.0, 5.0, "no root in bracket"),  # f(x*) > 0, x* = 0.96 inside
+])
+@pytest.mark.parametrize("solve", [
+    lambda base, bracket: bisect(base, bracket),
+    lambda base, bracket: newton_refine(base, 1.0, bracket),
+], ids=["bisect", "newton_refine"])
+def test_no_sign_change_names_the_root_count(solve, a, lo, hi, kind):
+    bracket = RootBracket(lo, hi, BracketProvenance.ORACLE_SCAN)
+    with pytest.raises(BracketError) as err:
+        solve(BaseParameter(a), bracket)
+    assert str(err.value).endswith(kind)
+    assert not err.value.tangent_suspected
+
+
 class TestNewtonRefine:
     def test_second_root_09_from_refined_bracket(self):
         bracket = RootBracket(31.1702, 40.8781, BracketProvenance.REFINED_GIVEN_X1)
@@ -307,6 +325,11 @@ class TestLambertW:
             lambert_w_principal(-0.4)
         with pytest.raises(ValueError):
             lambert_w_principal(math.nan)
+        with pytest.raises(ValueError):
+            lambert_w_principal(-math.inf)
+
+    def test_infinity(self):
+        assert lambert_w_principal(math.inf) == math.inf
 
     def test_round_trip_sample(self):
         for w in (-0.9, -0.5, 0.1, 1.0, 3.0, 5.0):
