@@ -195,6 +195,52 @@ class TestAgainstTwoPowerReference:
             self._check(a, x_lo, x_hi, 100_001)
 
 
+def _scalar_base_grid(a, x_lo, x_hi, grid_size):
+    """The grid with the base passed to np.power as the float a."""
+    xs = np.linspace(x_lo, x_hi, grid_size)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        p = np.power(a, xs)
+        return xs, 1.0 / p + p - xs
+
+
+@pytest.mark.parametrize("scan", [scan_roots, min_scan])
+class TestGridBitsMatchScalarBase:
+    """_grid passes the base to np.power as a filled array; each scan must
+    see the bits a float base gives."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Copies of the (xs, f) arrays each _grid call returns."""
+        seen = []
+        grid = oracle._grid
+
+        def recording_grid(*args):
+            xs, fv = grid(*args)
+            seen.append((xs.copy(), fv.copy()))
+            return xs, fv
+
+        monkeypatch.setattr(oracle, "_grid", recording_grid)
+        return seen
+
+    def _check(self, seen, scan, a, grid_size):
+        base = BaseParameter(a)
+        for x_lo, x_hi in _scan_ranges(base):
+            scan(base, x_lo, x_hi, grid_size)
+            xs, fv = seen.pop()
+            ref_xs, ref_fv = _scalar_base_grid(a, x_lo, x_hi, grid_size)
+            assert np.array_equal(_bits(xs), _bits(ref_xs)), (a, x_lo, x_hi)
+            assert np.array_equal(_bits(fv), _bits(ref_fv)), (a, x_lo, x_hi)
+
+    def test_seeded_bases(self, seen, scan):
+        rng = np.random.default_rng(SEED)
+        for a in rng.uniform(0.05, 5.0, 500):
+            self._check(seen, scan, float(a), 20_001)
+
+    @pytest.mark.parametrize("a", EXTREME_BASES, ids=repr)
+    def test_extreme_bases(self, seen, scan, a):
+        self._check(seen, scan, a, 100_001)
+
+
 @pytest.mark.parametrize("a", EXTREME_BASES, ids=repr)
 def test_extreme_bases_raise_no_warning(a, capsys):
     base = BaseParameter(a)
