@@ -11,74 +11,17 @@ classification, and analytic brackets; :mod:`coshroots.solvers` the
 bracketed solvers, dispatcher, and the Lambert-W baseline for a**x = x;
 :mod:`coshroots.oracle` an independent brute-force root scan used for
 validation (import it by name; it is the one module that needs numpy);
-:mod:`coshroots.cli` the command-line interface.
+:mod:`coshroots.cli` the command-line interface.  The package root
+re-exports exactly ``core.__all__`` and ``solvers.__all__``, plus
+``__version__``; it imports neither the oracle nor the CLI.
 """
 
-from .core import (
-    BaseParameter,
-    BracketProvenance,
-    ClassificationTag,
-    CriticalConstants,
-    RootBracket,
-    SolutionClassification,
-    TANGENCY_EPS,
-    UNIT_BASE_EPS,
-    bounds_x1,
-    bounds_x2_initial,
-    bounds_x2_refined,
-    classify,
-    compute_q,
-    critical_constants,
-    critical_interval,
-    f_derivative,
-    f_value,
-    x_star,
-)
-from .solvers import (
-    BracketError,
-    ConvergenceError,
-    RootResult,
-    SolveReport,
-    SolverConfig,
-    SolverError,
-    bisect,
-    lambert_w_principal,
-    newton_refine,
-    solve_all,
-    solve_exp_fixed_point,
-)
+from . import core, solvers
+from .core import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseParameter",
-    "BracketError",
-    "BracketProvenance",
-    "ClassificationTag",
-    "ConvergenceError",
-    "CriticalConstants",
-    "RootBracket",
-    "RootResult",
-    "SolutionClassification",
-    "SolveReport",
-    "SolverConfig",
-    "SolverError",
-    "TANGENCY_EPS",
-    "UNIT_BASE_EPS",
-    "bisect",
-    "bounds_x1",
-    "bounds_x2_initial",
-    "bounds_x2_refined",
-    "classify",
-    "compute_q",
-    "critical_constants",
-    "critical_interval",
-    "f_derivative",
-    "f_value",
-    "lambert_w_principal",
-    "newton_refine",
-    "solve_all",
-    "solve_exp_fixed_point",
-    "x_star",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += solvers.__all__

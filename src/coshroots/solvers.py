@@ -179,20 +179,27 @@ def _widened(bracket: RootBracket) -> tuple[float, float]:
     return lo, hi
 
 
-def _raise_no_sign_change(
-    base: BaseParameter,
-    bracket: RootBracket,
-    f_lo: float,
-    f_hi: float,
-    abs_tol: float,
-) -> None:
+def _oriented(
+    base: BaseParameter, bracket: RootBracket, abs_tol: float
+) -> tuple[float, float]:
+    """Widened bracket ends (xl, xh) with f(xl) < 0 < f(xh), or (x, x) for
+    an end x where f(x) == 0; BracketError where f has one sign at both."""
+    lo, hi = _widened(bracket)
+    f_lo = f_value(base, lo)
+    f_hi = f_value(base, hi)
+    if f_lo == 0.0:
+        return lo, lo
+    if f_hi == 0.0:
+        return hi, hi
+    if (f_lo > 0.0) != (f_hi > 0.0):
+        return (lo, hi) if f_lo < 0.0 else (hi, lo)
     # f is convex: both endpoints positive with an interior minimum near
     # zero is the signature of a (near-)double root, invisible to sign
     # tests, and with a negative one of two roots.  Both endpoints
-    # negative cannot hide a root.
+    # negative cannot hide a root.  (At a = 0, f_lo has raised ValueError.)
     tangent_suspected = False
     kind = "no root in bracket"
-    if f_lo > 0.0 and f_hi > 0.0 and base.a > 0.0 and base.ln_a != 0.0:
+    if f_lo > 0.0 and f_hi > 0.0 and base.ln_a != 0.0:
         probe = x_star(base)
         if not (bracket.lo < probe < bracket.hi):
             probe = bracket.midpoint  # f is monotone here: f(probe) > 0
@@ -222,20 +229,14 @@ def bisect(base: BaseParameter, bracket: RootBracket) -> tuple[float, int]:
     itself solves with ``newton_refine``; this stays public as the
     independent reference its tests check it by.
     """
-    lo, hi = _widened(bracket)
-    f_lo = f_value(base, lo)
-    f_hi = f_value(base, hi)
-    if f_lo == 0.0:
-        return lo, 0
-    if f_hi == 0.0:
-        return hi, 0
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        _raise_no_sign_change(base, bracket, f_lo, f_hi, _DEFAULT_CONFIG.abs_tol)
+    xl, xh = _oriented(base, bracket, _DEFAULT_CONFIG.abs_tol)
+    if xl == xh:
+        return xl, 0
 
     iterations = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (xl + xh)
+        if mid == xl or mid == xh:
             return mid, iterations
         if iterations >= _MAX_ITER:
             raise ConvergenceError(
@@ -250,10 +251,10 @@ def bisect(base: BaseParameter, bracket: RootBracket) -> tuple[float, int]:
         iterations += 1
         if fm == 0.0:
             return mid, iterations
-        if (fm > 0.0) == (f_lo > 0.0):
-            lo = mid
+        if fm < 0.0:
+            xl = mid
         else:
-            hi = mid
+            xh = mid
 
 
 def newton_refine(
@@ -289,26 +290,19 @@ def newton_refine(
         raise ValueError(
             f"seed {seed!r} lies outside bracket [{bracket.lo}, {bracket.hi}]"
         )
-    lo, hi = _widened(bracket)
     if lo_negative is None:
-        f_lo = f_value(base, lo)
-        f_hi = f_value(base, hi)
-        if f_lo == 0.0:
-            return lo, 0
-        if f_hi == 0.0:
-            return hi, 0
-        if (f_lo > 0.0) == (f_hi > 0.0):
-            _raise_no_sign_change(base, bracket, f_lo, f_hi, cfg.abs_tol)
-        lo_negative = f_lo < 0.0
-
-    # orient so f(xl) < 0 < f(xh)
-    xl, xh = (lo, hi) if lo_negative else (hi, lo)
+        xl, xh = _oriented(base, bracket, cfg.abs_tol)
+        if xl == xh:
+            return xl, 0
+    else:
+        lo, hi = _widened(bracket)
+        xl, xh = (lo, hi) if lo_negative else (hi, lo)
 
     ln_a_sq = base.ln_a * base.ln_a
     x = float(seed)
     fx, dfx = _f_and_derivative(base, x)
     best_x, best_f = x, abs(fx)
-    step_prev = abs(hi - lo)
+    step_prev = abs(xh - xl)
     step = step_prev
     iterations = 0
 

@@ -142,6 +142,32 @@ class TestSolve:
         assert code == EXIT_USAGE
 
 
+class TestAbsentValues:
+    """A non-finite float or an undecided verdict is an empty CSV cell and
+    a JSON null."""
+
+    def test_overflowing_f(self, capsys):
+        argv = ("curve", "--a", "2", "--x-lo", "0", "--x-hi", "2000", "--steps", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert parse_csv(out)[-1] == {"x": "2000", "f": ""}  # f(2000) = inf
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["records"][-1] == {"x": 2000.0, "f": None}
+
+    def test_zero_base_verify(self, capsys):
+        # the scan cannot evaluate f at a = 0, so it gives no verdict
+        code, out, _ = run_cli(capsys, "solve", "--a", "0", "--verify")
+        assert code == EXIT_OK
+        (rec,) = parse_csv(out)
+        assert rec["classification"] == "zero_base" and rec["verified"] == ""
+        code, out, _ = run_cli(
+            capsys, "solve", "--a", "0", "--verify", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["records"][0]["verified"] is None
+
+
 class TestBounds:
     def test_initial_bounds_108(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--a", "1.08")

@@ -1,5 +1,7 @@
 """What each import loads, checked in a fresh interpreter: the library
-itself needs no numpy; only the oracle, and the CLI through it, do."""
+itself needs no numpy; only the oracle, and the CLI through it, do.  And
+what the package root re-exports: exactly the public names of core and
+solvers."""
 
 import os
 import pathlib
@@ -50,3 +52,18 @@ def test_cli_import_loads_numpy():
     loaded = loaded_after("import sys, coshroots.cli")
     assert "numpy" in loaded
     assert "coshroots.oracle" in loaded
+
+
+def test_package_root_reexports_core_and_solvers():
+    import coshroots
+    from coshroots import core, solvers
+
+    names = coshroots.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {*core.__all__, *solvers.__all__, "__version__"}
+    for module in (core, solvers):
+        for name in module.__all__:
+            assert getattr(coshroots, name) is getattr(module, name), name
+    star = {}
+    exec("from coshroots import *", star)
+    assert set(star) - {"__builtins__"} == set(names)

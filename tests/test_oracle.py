@@ -13,6 +13,9 @@ import numpy as np
 
 from coshroots import (
     BaseParameter,
+    BracketProvenance,
+    RootBracket,
+    bisect,
     bounds_x1,
     bounds_x2_initial,
     classify,
@@ -122,6 +125,16 @@ class TestScanRoots:
         result = scan_roots(BaseParameter(1.1), -10.0, 100.0, 50_000)
         roots = result.refined_roots
         assert list(roots) == sorted(roots)
+
+    def test_power_overflow_saturates(self):
+        # the first bisection midpoint of [x*, 5000] needs 0.72**-2501,
+        # which overflows a float: f reads +inf there and the root is found
+        base = BaseParameter(0.72)
+        lo = x_star(base)
+        result = scan_roots(base, lo, 5000.0, 2)
+        (root,) = result.refined_roots
+        bracket = RootBracket(lo, 2.0 * lo - 2.0, BracketProvenance.ORACLE_SCAN)
+        assert root == pytest.approx(bisect(base, bracket)[0], rel=1e-12)
 
     def test_metadata(self):
         result = scan_roots(BaseParameter(0.75), 0.0, 10.0, 500)

@@ -133,6 +133,22 @@ def test_no_sign_change_names_the_root_count(solve, a, lo, hi, kind):
     assert not err.value.tangent_suspected
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2.000000000002, 3.0),  # widens to exactly 2.0 at its lower end
+    (1.0, 1.999999999998),  # and at its upper end
+])
+@pytest.mark.parametrize("solve", [
+    lambda base, bracket: bisect(base, bracket),
+    lambda base, bracket: newton_refine(base, bracket.midpoint, bracket),
+], ids=["bisect", "newton_refine"])
+def test_exact_zero_end_is_returned(solve, lo, hi):
+    # f = 2 - x exactly at a = 1, so f is 0 at the widened end 2.0: that end
+    # is the root, not one sign of a bracket with no sign change
+    bracket = RootBracket(lo, hi, BracketProvenance.ORACLE_SCAN)
+    assert 2.0 in solvers._widened(bracket)
+    assert solve(BaseParameter(1.0), bracket) == (2.0, 0)
+
+
 class TestNewtonRefine:
     def test_second_root_09_from_refined_bracket(self):
         bracket = RootBracket(31.1702, 40.8781, BracketProvenance.REFINED_GIVEN_X1)
@@ -313,6 +329,14 @@ class TestLambertW:
 
     def test_branch_point(self):
         assert lambert_w_principal(-math.exp(-1.0)) == -1.0
+
+    def test_branch_point_rounding(self):
+        # one rounding below -1/e is the branch point; further below is not
+        z = -math.exp(-1.0) * (1.0 + 2e-16)
+        assert z < -math.exp(-1.0)
+        assert lambert_w_principal(z) == -1.0
+        with pytest.raises(ValueError):
+            lambert_w_principal(-math.exp(-1.0) * (1.0 + 1e-15))
 
     def test_near_branch_point(self):
         z = -math.exp(-1.0) + 1e-12
