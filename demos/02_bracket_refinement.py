@@ -23,10 +23,10 @@ print(f"{'a':>6} {'x1':>10} {'initial x2 bracket':>24} "
 for a in (0.75, 0.9, 1.08, 1.39):
     base = BaseParameter(a)
     b1 = bounds_x1()
-    x1, _ = newton_refine(base, b1.midpoint, b1)
+    x1, _, _ = newton_refine(base, b1.midpoint, b1)
     initial = bounds_x2_initial(base)
     refined = bounds_x2_refined(base, x1)
-    x2, _ = newton_refine(base, refined.midpoint, refined)
+    x2, _, _ = newton_refine(base, refined.midpoint, refined)
     print(
         f"{a:>6} {x1:>10.4f} "
         f"({initial.lo:>10.4f},{initial.hi:>10.4f}) "

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -167,7 +167,7 @@ class CriticalConstants:
             x_dagger=2.0 * math.cosh(q),
         )
 
-    @property
+    @cached_property
     def tangent_log(self) -> float:
         """Critical |ln a| = 1/(2 sinh q) at which the two roots merge."""
         return 1.0 / (2.0 * self.sinh_q)
@@ -353,9 +353,10 @@ def classify(base: BaseParameter) -> SolutionClassification:
         )
     if t > c.tangent_log:
         return SolutionClassification(tag=ClassificationTag.NO_ROOT)
+    # t < T here, so x* > 2 cosh q > 2: the regime check is not repeated
     return SolutionClassification(
         tag=ClassificationTag.TWO_ROOTS,
-        brackets=(bounds_x1(), bounds_x2_initial(base)),
+        brackets=(bounds_x1(), _x2_initial(x_star(base))),
     )
 
 
@@ -384,6 +385,10 @@ def bounds_x2_initial(base: BaseParameter) -> RootBracket:
         raise ValueError(
             f"a={base.a!r} is outside the two-root regime (x_star={xs:.6g})"
         )
+    return _x2_initial(xs)
+
+
+def _x2_initial(xs: float) -> RootBracket:
     return RootBracket(xs, 2.0 * xs - 2.0, BracketProvenance.MINIMIZER_BASED)
 
 

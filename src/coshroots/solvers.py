@@ -12,8 +12,10 @@ tolerance it returns the point one Newton step further on, so stopping
 early costs no accuracy.  Convexity of f(x) = 2*cosh(x*ln a) - x
 guarantees at most one sign change inside each analytic bracket.
 One generator, ``_roots``, solves a classified base's roots in order,
-from the seeds ``_seed`` picks, for both ``solve_all`` and the CLI sweep.
-The paper's bounds fix the sign of f at every bracket end, so it
+from the seeds ``_seed`` picks (Aitken-accelerated fixed-point steps,
+which mostly meet the residual target already), for both ``solve_all``
+and the CLI sweep.
+The paper's bounds fix the sign of f at every bracket end, so ``_roots``
 evaluates f at none: it passes the orientation (``lo_negative``) and takes
 x2's refined bracket by |ln a| alone where it holds, 0.0409691599599 <
 |ln a| < T.
@@ -83,9 +85,9 @@ _TANGENT_SEED_BAND = 0.05
 # tests/test_reference_values.py), here rounded up so it is never used below t0.
 _REFINED_MIN_LOG = 0.04096916
 
-# Fixed-point steps x = acosh(x/2)/|ln a| that move x2's seed from its
-# bracket's midpoint towards x2, outside the tangent-model band.
-_X2_SEED_STEPS = 3
+# Rounds of Aitken's delta-squared, each over two fixed-point steps, that
+# seed each root outside the tangent-model band (see ``_seed``).
+_AITKEN_ROUNDS = 3
 
 # A Halley denominator below this (a step more than twice Newton's) is
 # not trusted; the Newton step is taken instead.
@@ -174,8 +176,11 @@ class ConvergenceError(SolverError):
 
 
 def _widened(bracket: RootBracket) -> tuple[float, float]:
-    lo = bracket.lo - _BRACKET_MARGIN * max(1.0, abs(bracket.lo))
-    hi = bracket.hi + _BRACKET_MARGIN * max(1.0, abs(bracket.hi))
+    lo, hi, _ = bracket
+    abs_lo, abs_hi = abs(lo), abs(hi)
+    # conditionals, not max(1.0, ...): a builtin call costs more per solve
+    lo -= _BRACKET_MARGIN * (abs_lo if abs_lo > 1.0 else 1.0)
+    hi += _BRACKET_MARGIN * (abs_hi if abs_hi > 1.0 else 1.0)
     return lo, hi
 
 
@@ -264,7 +269,7 @@ def newton_refine(
     config: SolverConfig | None = None,
     *,
     lo_negative: bool | None = None,
-) -> tuple[float, int]:
+) -> tuple[float, int, float]:
     """Safeguarded Halley iteration inside a sign-change bracket.
 
     Without ``lo_negative`` it first evaluates f at both widened bracket
@@ -281,9 +286,12 @@ def newton_refine(
     degenerate derivative (|f'| < 1e-300), or fail to halve the step before
     last falls back to one bisection step.  Succeeds when |f(x)| <= abs_tol,
     returning x - f/f' (one more Newton step, already computed) when that
-    point stays in the bracket, else x.  Raises ConvergenceError carrying
-    the best iterate if the budget runs out or the bracket collapses to
-    machine resolution first.
+    point stays in the bracket, else x, as (x, iterations, residual).  The
+    residual is ``f_value(base, x)``: the f already held where x was
+    evaluated (an exact-zero end, a last Newton step that leaves x
+    unchanged, the best iterate), else one more evaluation.  Raises
+    ConvergenceError carrying the best iterate if the budget runs out or
+    the bracket collapses to machine resolution first.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     if not (bracket.lo <= seed <= bracket.hi):
@@ -293,7 +301,7 @@ def newton_refine(
     if lo_negative is None:
         xl, xh = _oriented(base, bracket, cfg.abs_tol)
         if xl == xh:
-            return xl, 0
+            return xl, 0, 0.0
     else:
         lo, hi = _widened(bracket)
         xl, xh = (lo, hi) if lo_negative else (hi, lo)
@@ -301,7 +309,7 @@ def newton_refine(
     ln_a_sq = base.ln_a * base.ln_a
     x = float(seed)
     fx, dfx = _f_and_derivative(base, x)
-    best_x, best_f = x, abs(fx)
+    best_x, best_fx = x, fx
     step_prev = abs(xh - xl)
     step = step_prev
     iterations = 0
@@ -311,9 +319,11 @@ def newton_refine(
         if abs(fx) <= abs_tol:
             if dfx != 0.0:
                 x_new = x - fx / dfx
+                if x_new == x:
+                    return x, iterations, fx
                 if (x_new - xl) * (x_new - xh) <= 0.0:
-                    return x_new, iterations
-            return x, iterations
+                    return x_new, iterations, _f_and_derivative(base, x_new)[0]
+            return x, iterations, fx
         force_bisect = (
             not math.isfinite(fx)
             or not math.isfinite(dfx)
@@ -341,15 +351,16 @@ def newton_refine(
         x = x_new
         fx, dfx = _f_and_derivative(base, x)
         iterations += 1
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
+        if abs(fx) < abs(best_fx):
+            best_x, best_fx = x, fx
         if fx < 0.0:
             xl = x
         else:
             xh = x
 
+    best_f = abs(best_fx)
     if best_f <= abs_tol:
-        return best_x, iterations
+        return best_x, iterations, best_fx
     raise ConvergenceError(
         f"no iterate reached |f| <= {cfg.abs_tol:g} within {iterations} "
         f"iterations on [{bracket.lo}, {bracket.hi}] "
@@ -374,31 +385,44 @@ def _tangent_model(base: BaseParameter) -> tuple[float, float] | None:
 
 
 def _seed(
-    base: BaseParameter, bracket: RootBracket, model: tuple[float, float] | None
+    base: BaseParameter,
+    bracket: RootBracket,
+    model: tuple[float, float] | None,
+    first: bool,
 ) -> float:
-    """Starting point for ``newton_refine`` on one of a two-root base's
-    analytic brackets, inside it.
+    """Starting point for ``newton_refine`` on a two-root base's analytic
+    bracket for x1 (``first``) or x2, inside it.
 
     Near the tangent both roots come from ``_tangent_model``'s x* -+ r,
-    clamped into the bracket.  Elsewhere x1 (its bracket ends at the
-    tangent abscissa) takes two fixed-point steps of x = 2*cosh(t*x) from
-    x = 2; they rise monotonically towards x1, so stay in its bracket.  x2
-    takes ``_X2_SEED_STEPS`` steps of the inverse map x = acosh(x/2)/t
-    from its bracket's midpoint, clamped into the bracket against rounding:
-    the map is increasing and its slope at x2 is 1/(f'(x2) + 1) < 1, so the
-    steps move monotonically towards x2 from either side.
+    clamped into the bracket.  Elsewhere each root is a fixed point of the
+    equation itself: x1 of x = 2*cosh(t*x), from x = 2, and x2 of
+    x = acosh(x/2)/t, from its bracket's midpoint (t = |ln a|).  Both maps
+    contract towards their root, linearly, so ``_AITKEN_ROUNDS`` rounds of
+    Aitken's delta-squared over two steps each (Aitken 1926; Steffensen
+    1933) converge quadratically.  Each round's result is clamped into the
+    bracket; x2's lies above x* > 2, and the map takes each point there to
+    one between it and x2, so acosh is never given an argument below 1.  A
+    round whose second difference is 0 takes its last step instead.
     """
-    first = bracket.hi <= critical_constants().x_dagger
+    lo, hi, _ = bracket
     if model is not None:
         xs, r = model
-        return min(max(xs - r if first else xs + r, bracket.lo), bracket.hi)
+        x = xs - r if first else xs + r
+        return lo if x < lo else hi if x > hi else x
     t = abs(base.ln_a)
-    if first:
-        return 2.0 * math.cosh(t * 2.0 * math.cosh(2.0 * t))
-    x = bracket.midpoint
-    for _ in range(_X2_SEED_STEPS):
-        x = math.acosh(0.5 * x) / t
-    return min(max(x, bracket.lo), bracket.hi)
+    acosh, cosh = math.acosh, math.cosh
+    x = 2.0 if first else 0.5 * (lo + hi)
+    for _ in range(_AITKEN_ROUNDS):
+        if first:
+            y = 2.0 * cosh(t * x)
+            z = 2.0 * cosh(t * y)
+        else:
+            y = acosh(0.5 * x) / t
+            z = acosh(0.5 * y) / t
+        d = z - 2.0 * y + x
+        x = x - (y - x) * (y - x) / d if d != 0.0 else z
+        x = lo if x < lo else hi if x > hi else x
+    return x
 
 
 def _second_root_bracket(
@@ -437,11 +461,15 @@ def _roots(
     if tag is ClassificationTag.TWO_ROOTS:
         b1, b2_initial = outcome.brackets
         quad = _tangent_model(base)
-        x1, it1 = newton_refine(base, _seed(base, b1, quad), b1, cfg, lo_negative=False)
-        yield RootResult(x1, f_value(base, x1), it1, b1)
+        x1, it1, f1 = newton_refine(
+            base, _seed(base, b1, quad, True), b1, cfg, lo_negative=False
+        )
+        yield RootResult(x1, f1, it1, b1)
         b2 = _second_root_bracket(base, x1, b2_initial)
-        x2, it2 = newton_refine(base, _seed(base, b2, quad), b2, cfg, lo_negative=True)
-        yield RootResult(x2, f_value(base, x2), it2, b2)
+        x2, it2, f2 = newton_refine(
+            base, _seed(base, b2, quad, False), b2, cfg, lo_negative=True
+        )
+        yield RootResult(x2, f2, it2, b2)
     elif tag is not ClassificationTag.NO_ROOT:  # zero, unit or tangent base
         x = outcome.root
         residual = math.nan if outcome.by_convention else f_value(base, x)
