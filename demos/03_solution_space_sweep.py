@@ -43,5 +43,6 @@ for row in rows[::6]:
 
 print()
 print("Statuses: 'no_root' outside the critical interval, 'x2_overflow'")
-print("where x2 exceeds 1e9 (a within ~1e-8 of 1), 'solver_error' where")
-print("the 1e-12 residual target is below the float64 floor.")
+print("where the upper end 2x* - 2 of x2's initial bracket exceeds 1e9")
+print("(|ln a| <~ 3.4e-8), 'solver_error' where the 1e-12 residual target")
+print("is below the float64 floor.")

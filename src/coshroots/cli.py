@@ -42,7 +42,6 @@ from .core import (
 from .oracle import min_scan, scan_roots
 from .solvers import (
     SolveReport,
-    SolverConfig,
     SolverError,
     _roots,
     newton_refine,  # unused; perfbench/tracer.py wraps cli.newton_refine
@@ -208,7 +207,7 @@ def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | Non
 
 def _cmd_solve(args: argparse.Namespace) -> str:
     base = BaseParameter(args.a)
-    report = solve_all(base, SolverConfig(args.tol) if args.tol is not None else None)
+    report = solve_all(base) if args.tol is None else solve_all(base, args.tol)
     roots = report.roots
     record: dict[str, Any] = {
         "a": base.a,
@@ -340,7 +339,7 @@ def _sweep_record(base: BaseParameter) -> dict[str, Any]:
     if outcome.tag is ClassificationTag.NO_ROOT:
         record["status"] = "no_root"
         return record
-    xs = (root.x for root in _roots(base, outcome, None))
+    xs = (root.x for root in _roots(base, outcome))
     try:
         record["x1"] = next(xs)
         if outcome.brackets is not None and outcome.brackets[1].hi > _X2_OVERFLOW_LIMIT:

@@ -99,7 +99,7 @@ class BaseParameter:
     ln_a: float = field(init=False)
 
     def __post_init__(self) -> None:
-        a = float(self.a)
+        a = float(self.a) + 0.0  # -0.0 -> +0.0; every other double unchanged
         if not math.isfinite(a) or a < 0.0:
             raise ValueError(f"base must be a finite real >= 0, got {self.a!r}")
         object.__setattr__(self, "a", a)

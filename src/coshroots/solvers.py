@@ -24,16 +24,16 @@ Also houses the Lambert-W baseline for the simpler fixed-point family
 a**x = x, solved in closed form as x = -W(-ln a)/ln(a) on the principal
 branch.
 
-All functions are pure; the config (one residual target, ``abs_tol``) and
-the reports (``NamedTuple``s) are immutable values, so concurrent solves
-are safe.
+All functions are pure and the reports (``NamedTuple``s) are immutable
+values, so concurrent solves are safe.  The one setting is ``abs_tol``, the
+absolute residual target |f(x)| of ``newton_refine`` and ``solve_all``, a
+plain float that defaults to 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -51,7 +51,6 @@ from .core import (
 )
 
 __all__ = [
-    "SolverConfig",
     "RootResult",
     "SolveReport",
     "SolverError",
@@ -68,6 +67,9 @@ __all__ = [
 # endpoint so a root sitting on the boundary still produces a numerical
 # sign change.
 _BRACKET_MARGIN = 1e-12
+
+# Default residual target |f(x)| of newton_refine and solve_all.
+_ABS_TOL = 1e-12
 
 # Step budget of bisect and newton_refine; exhausting it raises ConvergenceError.
 _MAX_ITER = 200
@@ -92,21 +94,6 @@ _AITKEN_ROUNDS = 3
 # A Halley denominator below this (a step more than twice Newton's) is
 # not trusted; the Newton step is taken instead.
 _HALLEY_MIN_DENOM = 0.5
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerance of ``newton_refine`` and ``solve_all``: ``abs_tol`` is
-    the absolute residual target |f(x)|."""
-
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_tol < math.inf:
-            raise ValueError("tolerances must be finite and strictly positive")
-
-
-_DEFAULT_CONFIG = SolverConfig()
 
 
 class RootResult(NamedTuple):
@@ -234,7 +221,7 @@ def bisect(base: BaseParameter, bracket: RootBracket) -> tuple[float, int]:
     itself solves with ``newton_refine``; this stays public as the
     independent reference its tests check it by.
     """
-    xl, xh = _oriented(base, bracket, _DEFAULT_CONFIG.abs_tol)
+    xl, xh = _oriented(base, bracket, _ABS_TOL)
     if xl == xh:
         return xl, 0
 
@@ -266,7 +253,7 @@ def newton_refine(
     base: BaseParameter,
     seed: float,
     bracket: RootBracket,
-    config: SolverConfig | None = None,
+    abs_tol: float = _ABS_TOL,
     *,
     lo_negative: bool | None = None,
 ) -> tuple[float, int, float]:
@@ -291,15 +278,17 @@ def newton_refine(
     evaluated (an exact-zero end, a last Newton step that leaves x
     unchanged, the best iterate), else one more evaluation.  Raises
     ConvergenceError carrying the best iterate if the budget runs out or
-    the bracket collapses to machine resolution first.
+    the bracket collapses to machine resolution first, and ValueError
+    where ``abs_tol`` is not finite and positive.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError("tolerances must be finite and strictly positive")
     if not (bracket.lo <= seed <= bracket.hi):
         raise ValueError(
             f"seed {seed!r} lies outside bracket [{bracket.lo}, {bracket.hi}]"
         )
     if lo_negative is None:
-        xl, xh = _oriented(base, bracket, cfg.abs_tol)
+        xl, xh = _oriented(base, bracket, abs_tol)
         if xl == xh:
             return xl, 0, 0.0
     else:
@@ -314,7 +303,6 @@ def newton_refine(
     step = step_prev
     iterations = 0
 
-    abs_tol = cfg.abs_tol
     while iterations < _MAX_ITER:
         if abs(fx) <= abs_tol:
             if dfx != 0.0:
@@ -362,7 +350,7 @@ def newton_refine(
     if best_f <= abs_tol:
         return best_x, iterations, best_fx
     raise ConvergenceError(
-        f"no iterate reached |f| <= {cfg.abs_tol:g} within {iterations} "
+        f"no iterate reached |f| <= {abs_tol:g} within {iterations} "
         f"iterations on [{bracket.lo}, {bracket.hi}] "
         f"(best x={best_x!r}, |f|={best_f:.3e})",
         best_x,
@@ -443,7 +431,7 @@ def _second_root_bracket(
 
 
 def _roots(
-    base: BaseParameter, outcome: SolutionClassification, config: SolverConfig | None
+    base: BaseParameter, outcome: SolutionClassification, abs_tol: float = _ABS_TOL
 ) -> Iterator[RootResult]:
     """Yield each root ``outcome`` implies, ascending, as soon as it is solved.
 
@@ -456,18 +444,17 @@ def _roots(
     f(2) > 0 > f(2 cosh q), f(x*) < 0 < f(2x* - x1) < f(2x* - 2) proves.
     Solver failures propagate with the offending bracket attached.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
     tag = outcome.tag
     if tag is ClassificationTag.TWO_ROOTS:
         b1, b2_initial = outcome.brackets
         quad = _tangent_model(base)
         x1, it1, f1 = newton_refine(
-            base, _seed(base, b1, quad, True), b1, cfg, lo_negative=False
+            base, _seed(base, b1, quad, True), b1, abs_tol, lo_negative=False
         )
         yield RootResult(x1, f1, it1, b1)
         b2 = _second_root_bracket(base, x1, b2_initial)
         x2, it2, f2 = newton_refine(
-            base, _seed(base, b2, quad, False), b2, cfg, lo_negative=True
+            base, _seed(base, b2, quad, False), b2, abs_tol, lo_negative=True
         )
         yield RootResult(x2, f2, it2, b2)
     elif tag is not ClassificationTag.NO_ROOT:  # zero, unit or tangent base
@@ -475,7 +462,7 @@ def _roots(
         residual = math.nan if outcome.by_convention else f_value(base, x)
         # double root: |f| scales with the square of the x-error, so the
         # acceptance bound here is sqrt(abs_tol), not abs_tol
-        tol = math.sqrt(cfg.abs_tol)
+        tol = math.sqrt(abs_tol)
         if tag is ClassificationTag.TANGENT_ROOT and abs(residual) > tol:
             raise ConvergenceError(
                 f"tangent-root residual {residual:.3e} exceeds "
@@ -488,12 +475,14 @@ def _roots(
         yield RootResult(x, residual, 0, None)
 
 
-def solve_all(
-    base: BaseParameter, config: SolverConfig | None = None
-) -> SolveReport:
-    """Classify the base and solve every root it implies, as ``_roots`` does."""
+def solve_all(base: BaseParameter, abs_tol: float = _ABS_TOL) -> SolveReport:
+    """Classify the base and solve every root it implies to |f| <= abs_tol,
+    as ``_roots`` does; ValueError where ``abs_tol`` is not finite and
+    positive."""
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError("tolerances must be finite and strictly positive")
     outcome = classify(base)
-    return SolveReport(outcome, tuple(_roots(base, outcome, config)))
+    return SolveReport(outcome, tuple(_roots(base, outcome, abs_tol)))
 
 
 def lambert_w_principal(z: float) -> float:

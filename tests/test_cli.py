@@ -75,6 +75,15 @@ class TestClassify:
         assert rec["root"] == 0.0
         assert rec["by_convention"] is True
 
+    def test_negative_zero_base_echoed_as_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--a", "-0.0")
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("0,zero_base,")
+        code, out, _ = run_cli(capsys, "solve", "--a", "-0.0", "--format", "json")
+        assert code == EXIT_OK
+        (rec,) = json.loads(out)["records"]
+        assert math.copysign(1.0, rec["a"]) == 1.0
+
     def test_two_roots_brackets(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--a", "0.9", "--format", "json")
         (rec,) = json.loads(out)["records"]

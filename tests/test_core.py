@@ -101,6 +101,11 @@ class TestBaseParameter:
     def test_unit_base_log_is_zero(self):
         assert BaseParameter(1.0).ln_a == 0.0
 
+    def test_negative_zero_base_is_positive_zero(self):
+        b = BaseParameter(-0.0)
+        assert math.copysign(1.0, b.a) == 1.0
+        assert b.ln_a == -math.inf
+
     def test_zero_base_log_flagged(self):
         b = BaseParameter(0.0)
         assert b.ln_a == -math.inf

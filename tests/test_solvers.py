@@ -2,6 +2,7 @@
 Lambert-W baseline."""
 
 import functools
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ from coshroots import (
     ClassificationTag,
     ConvergenceError,
     RootBracket,
-    SolverConfig,
     SolverError,
     bisect,
     bounds_x1,
@@ -42,32 +42,19 @@ X2_139_REF = 3.9936239332153425304
 SEED = 42
 
 
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.abs_tol == 1e-12
+class TestAbsTol:
+    def test_default(self):
+        for solve in (solve_all, newton_refine):
+            assert inspect.signature(solve).parameters["abs_tol"].default == 1e-12
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-3},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": math.inf},
-            {"abs_tol": math.nan},
-        ],
-    )
-    def test_non_finite_tolerances_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="finite"):
-            SolverConfig(**kwargs)
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+    def test_rejected_by_both_entry_points(self, bad):
+        message = "tolerances must be finite and strictly positive"
+        base = BaseParameter(0.9)
+        with pytest.raises(ValueError, match=message):
+            solve_all(base, bad)
+        with pytest.raises(ValueError, match=message):
+            newton_refine(base, 2.5, bounds_x1(), bad)
 
 
 class TestBisect:
@@ -259,7 +246,7 @@ class TestSolveAll:
     def test_tangent_residual_above_sqrt_abs_tol_raises(self):
         # the closed-form tangent root is accepted while |f| <= sqrt(abs_tol)
         with pytest.raises(ConvergenceError) as err:
-            solve_all(BaseParameter(critical_constants().a_max), SolverConfig(1e-40))
+            solve_all(BaseParameter(critical_constants().a_max), 1e-40)
         assert err.value.iterations == 0
         assert err.value.bracket is None
         assert str(err.value) == (
@@ -715,16 +702,34 @@ class TestAitkenSeeds:
 
     def test_only_solver_errors_escape(self):
         # the seeds feed math.acosh, which raises ValueError below 2: every
-        # failure of solve_all must be a SolverError
+        # failure of solve_all must be a SolverError, at the default target
+        # and at either end of the double range, and every root it returns
+        # must lie in its widened bracket
+        c = critical_constants()
         bases = self._stress_bases()
         assert len(bases) >= 4000 + 27 + 25_000
-        failed = 0
-        for base in bases:
-            try:
-                solve_all(base)
-            except SolverError:
-                failed += 1
-        assert 0 < failed < len(bases) // 10  # the near-unit band fails
+        edges = [
+            BaseParameter(a)
+            for a in (0.0, 1.0, c.a_min, c.a_max, 5e-324, sys.float_info.max)
+        ]
+
+        def failures(bases, *abs_tol):
+            failed = 0
+            for base in bases:
+                try:
+                    report = solve_all(base, *abs_tol)
+                except SolverError:
+                    failed += 1
+                    continue
+                for root in report.roots:
+                    if root.bracket is not None:
+                        lo, hi = solvers._widened(root.bracket)
+                        assert lo <= root.x <= hi, (base, abs_tol, root)
+            return failed
+
+        assert 0 < failures(bases) < len(bases) // 10  # the near-unit band fails
+        for abs_tol in (5e-324, 1e-300, 1e300, sys.float_info.max):
+            failures(bases + edges, abs_tol)
 
     def test_seed_inside_bracket_every_round(self, monkeypatch):
         cases = []
