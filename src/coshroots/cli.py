@@ -58,9 +58,13 @@ EXIT_USAGE = 64
 # Table bases shipped as the reference fixture.
 TABLE_BASES = (0.6, 0.75, 0.9, 1.08, 1.39)
 
-# Grid used by --verify, and the sweep's x2_overflow cutoff on 2x* - 2, the
-# upper end of x2's initial bracket (x2 itself may lie well below it).
+# --verify grids [1, x_hi] at the spacing _VERIFY_GRID points give
+# [-10, x_hi], so with at most _VERIFY_GRID points.  Below x = 1 the power
+# form is at least 2 - x >= 1, since a**x + a**-x >= 2 (AM-GM): no root
+# and no sign change lies there.
 _VERIFY_GRID = 100_001
+# The sweep's x2_overflow cutoff on 2x* - 2, the upper end of x2's initial
+# bracket (x2 itself may lie well below it).
 _X2_OVERFLOW_LIMIT = 1e9
 
 
@@ -196,10 +200,11 @@ def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | Non
     x_hi = 10.0  # a unit base's far root, beyond 1e13, is not reported
     if tag is not ClassificationTag.UNIT_BASE:
         x_hi = max(10.0, 3.0 * x_star(base))
+    n = 1 + math.ceil((x_hi - 1.0) / ((x_hi + 10.0) / (_VERIFY_GRID - 1)))
     if tag is ClassificationTag.TANGENT_ROOT:
-        _, f_min = min_scan(base, -10.0, x_hi, _VERIFY_GRID)
+        _, f_min = min_scan(base, 1.0, x_hi, n)
         return abs(f_min) <= 1e-6
-    scan = scan_roots(base, -10.0, x_hi, _VERIFY_GRID)
+    scan = scan_roots(base, 1.0, x_hi, n)
     if len(scan.refined_roots) != len(report.roots):
         return False
     return all(abs(s - r.x) <= 1e-6 for s, r in zip(scan.refined_roots, report.roots))

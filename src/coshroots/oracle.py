@@ -9,12 +9,12 @@ to 0 gives inf, as a**-x itself does there.  It deliberately avoids the
 cosh/log formulation, the classification logic, and every analytic
 bound, so agreement with the solvers is meaningful evidence.
 
-Each thread keeps its grid arrays (the index, x, a**x and f, float64) and
-reuses them while the grid size stays the same, so a scan allocates no
-grid-length float memory.  Only grids of up to 2**18 points are kept,
-which caps what a thread holds at 8 MiB (the CLI's 100 001 points take
-3.2 MB); a larger grid is allocated per call.  Concurrent scans from
-several threads are safe.
+Each thread keeps its grid arrays (the index, x, a**x and f, float64):
+its first scan of up to 2**18 points allocates them at 2**18 points, 8 MiB,
+and every later grid up to that size runs on their leading points, so a
+scan allocates no grid-length float memory.  The arrays live as long as
+the thread.  A grid of more than 2**18 points is allocated per call.
+Concurrent scans from several threads are safe.
 
 Tangent (double) roots produce no sign change and are invisible to the
 scan; use min_scan for those (the function is convex, so the grid minimum
@@ -64,16 +64,19 @@ def _workspace(grid_size: int) -> tuple[np.ndarray, ...]:
     """Four float64 arrays of grid_size points: 0, 1, ..., n - 1, then
     scratch for xs, a**x and f.
 
-    Up to _KEPT_GRID_MAX points they are kept for the calling thread and
-    returned again by the next call of the same size.
+    Up to _KEPT_GRID_MAX points they are views of the first grid_size
+    points of arrays the calling thread allocates once, at _KEPT_GRID_MAX
+    points, and keeps.  They are never regrown or freed: freeing blocks of
+    this size raises glibc's mmap and trim thresholds, which changes how
+    fast the rest of the process gets fresh memory.
     """
+    if grid_size > _KEPT_GRID_MAX:
+        return (np.arange(grid_size, dtype=np.float64), *np.empty((3, grid_size)))
     ws = getattr(_kept, "ws", None)
-    if ws is not None and len(ws[0]) == grid_size:
-        return ws
-    ws = (np.arange(grid_size, dtype=np.float64), *np.empty((3, grid_size)))
-    if grid_size <= _KEPT_GRID_MAX:
-        _kept.ws = ws
-    return ws
+    if ws is None:
+        n = _KEPT_GRID_MAX
+        ws = _kept.ws = (np.arange(n, dtype=np.float64), *np.empty((3, n)))
+    return tuple(a[:grid_size] for a in ws)
 
 
 def _grid(

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from coshroots.cli import (
     EXIT_USAGE,
     main,
 )
+from coshroots.oracle import min_scan, scan_roots
 
 
 def run_cli(capsys, *argv):
@@ -699,6 +701,99 @@ class TestVerifyCanFail:
         x_dagger = critical_constants().x_dagger
         monkeypatch.setattr(cli, "min_scan", lambda *args: (x_dagger, 1e-3))
         assert _verified(capsys, a) is False
+
+
+# The benchmark's cli_verify input generator, copied from
+# perfbench/workloads.py with the 170-bit edge constants of
+# perfbench/reference.py as literals.
+_BENCH_TANGENT_LOG = 0.3313717096745908
+_BENCH_A_MIN, _BENCH_A_MAX = 0.7179382548412652, 1.392877442115267
+_BENCH_BAND = 4e-3
+
+
+def _bench_verify_bases(seed, batch, size):
+    """cli_verify's batch: the 4 exact bases, 3% near-edge bases with d
+    log-uniform in [1e-8, 1e-4], and the rest uniform over [0.6, 1.5]
+    outside |ln a| < 4e-3, shuffled."""
+    rng = random.Random(f"cli_verify:{seed}:{batch}")
+    near_edge = max(1, size * 3 // 100)
+    bases = [0.0, 1.0, _BENCH_A_MIN, _BENCH_A_MAX]
+    for k in range(near_edge):
+        d = 10.0 ** (-8.0 + 4.0 * (k + rng.random()) / near_edge)
+        t = _BENCH_TANGENT_LOG * (1.0 - d)
+        bases.append(math.exp(-t) if k % 2 == 0 else math.exp(t))
+    band_lo, band_hi = math.exp(-_BENCH_BAND), math.exp(_BENCH_BAND)
+    left = band_lo - 0.6
+    total = left + (1.5 - band_hi)
+    n = size - len(bases)
+    for k in range(n):
+        u = (k + rng.random()) / n * total
+        bases.append(0.6 + u if u < left else band_hi + (u - left))
+    rng.shuffle(bases)
+    return bases
+
+
+def _edge_bases(per_side, seed):
+    """Bases with |ln a| = T(1 -+ d), d log-uniform in [1e-14, 1e-3], on
+    both sides of both edges, and the 8 doubles nearest each edge."""
+    rng = random.Random(seed)
+    c = critical_constants()
+    t_crit = 1.0 / (2.0 * c.sinh_q)
+    bases = []
+    for sign in (1.0, -1.0):
+        for k in range(per_side):
+            d = 10.0 ** (-14.0 + 11.0 * (k + rng.random()) / per_side)
+            for t in (t_crit * (1.0 - d), t_crit * (1.0 + d)):
+                bases.append(math.exp(sign * t))
+    for edge in (c.a_min, c.a_max):
+        lo = hi = edge
+        for _ in range(4):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
+            bases += [lo, hi]
+    return bases
+
+
+def _verdict_on_old_grid(base, report):
+    """--verify's verdict from 100 001 points over [-10, x_hi]."""
+    if base.a == 0.0:
+        return None
+    tag = report.classification.tag.value
+    x_hi = 10.0 if tag == "unit_base" else max(10.0, 3.0 * x_star(base))
+    if tag == "tangent_root":
+        return abs(min_scan(base, -10.0, x_hi, 100_001)[1]) <= 1e-6
+    roots = scan_roots(base, -10.0, x_hi, 100_001).refined_roots
+    return len(roots) == len(report.roots) and all(
+        abs(s - r.x) <= 1e-6 for s, r in zip(roots, report.roots)
+    )
+
+
+def test_verify_grid_keeps_old_spacing_and_verdict(monkeypatch):
+    """From x = 1, --verify's grid is never coarser than 100 001 points
+    over [-10, x_hi], and it gives that grid's verdict."""
+    grids = []
+
+    def spy(scan):
+        def call(base, x_lo, x_hi, n):
+            grids.append((x_lo, x_hi, n))
+            return scan(base, x_lo, x_hi, n)
+
+        return call
+
+    monkeypatch.setattr(cli, "scan_roots", spy(scan_roots))
+    monkeypatch.setattr(cli, "min_scan", spy(min_scan))
+    # The batch holds 0 and 1 and both edges too.
+    bases = _bench_verify_bases(1, 0, 200) + _edge_bases(20, 7)
+    for a in bases:
+        base = BaseParameter(a)
+        report = solve_all(base)
+        want = _verdict_on_old_grid(base, report)
+        assert cli._verify_against_scan(base, report) == want, a
+        assert want is not False, a
+    assert len(grids) == len(bases) - 1  # none at a = 0
+    for x_lo, x_hi, n in grids:
+        assert x_lo == 1.0
+        assert n <= 100_001
+        assert (x_hi - x_lo) / (n - 1) <= (x_hi + 10.0) / 100_000
 
 
 class TestSafetyPaths:

@@ -92,7 +92,8 @@ def _reference_scan(base, x_lo, x_hi, grid_size):
 
 
 def _scan_ranges(base):
-    """[-10, 10] and the non-unit --verify range [-10, max(10, 3 x*)]."""
+    """[-10, 10] and, unless ln a is 0, [-10, max(10, 3 x*)]: out to the
+    upper end of the non-unit --verify range."""
     if base.ln_a == 0.0:
         return ((-10.0, 10.0),)
     return ((-10.0, 10.0), (-10.0, max(10.0, 3.0 * x_star(base))))
@@ -214,6 +215,39 @@ def _scalar_base_grid(a, x_lo, x_hi, grid_size):
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         p = np.power(a, xs)
         return xs, 1.0 / p + p - xs
+
+
+def _neighbours(x):
+    """The 8 doubles nearest x: 4 below and 4 above."""
+    out, lo, hi = [], x, x
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _no_root_below_one_bases():
+    rng = np.random.default_rng(SEED)
+    ln_a = 10.0 ** rng.uniform(-16.0, math.log10(4e-3), 20)
+    return (
+        list(EXTREME_BASES)
+        + [float(a) for a in rng.uniform(0.05, 5.0, 50)]
+        + _neighbours(1.0)
+        + [math.exp(t) for t in ln_a]
+        + [math.exp(-t) for t in ln_a]
+        + _neighbours(_C.a_min)
+        + _neighbours(_C.a_max)
+    )
+
+
+def test_no_root_below_one():
+    """--verify's grid starts at x = 1: below it a**x + 1/a**x - x stays
+    at least about 2 - x, so the grid sees no root and no sign change."""
+    for a in _no_root_below_one_bases():
+        base = BaseParameter(a)
+        scan = scan_roots(base, -10.0, 1.0, 100_001)
+        assert scan.sign_change_intervals == () and scan.refined_roots == (), a
+        assert min_scan(base, -10.0, 1.0, 100_001)[1] > 0.99, a
 
 
 @pytest.mark.parametrize("scan", [scan_roots, min_scan])
@@ -356,7 +390,25 @@ class TestWorkspace:
         assert result == _reference_scan(base, -10.0, x_hi, n)
         assert len(result.refined_roots) == 2
         assert kept is None
-        assert _in_thread(scan_after_kept_grid) == [1000] * 4
+        assert _in_thread(scan_after_kept_grid) == [oracle._KEPT_GRID_MAX] * 4
+
+    def test_kept_arrays_serve_every_size_up_to_cap(self):
+        base = BaseParameter(0.9)
+        x_hi = max(10.0, 3.0 * x_star(base))
+        sizes = (1000, 45_001, 100_001, oracle._KEPT_GRID_MAX)
+
+        def scan_sizes():
+            out = []
+            for n in sizes:
+                result = scan_roots(base, 1.0, x_hi, n)
+                out.append((result, oracle._kept.ws))
+            return out
+
+        scans = _in_thread(scan_sizes)
+        first = scans[0][1]
+        for n, (result, ws) in zip(sizes, scans):
+            assert all(a is b for a, b in zip(ws, first))
+            assert result == _reference_scan(base, 1.0, x_hi, n)
 
     def test_threads_match_serial(self):
         rng = np.random.default_rng(SEED)
