@@ -1,11 +1,13 @@
 """Command-line surface: constants, classification, solving, the reference
 table for representative bases, and data emission for curve/sweep plots.
 
-All commands emit either RFC-4180 CSV (header row, comma separated) or a
-single JSON object with a ``records`` array.  Human output uses 6
-significant digits by default; ``--full-precision`` switches to 17-digit
-round-trip floats; the ``constants`` command always prints at least 15.
-Absent values are empty CSV cells / JSON nulls, never 0.
+Each command returns its records, one dict per row, and ``main`` emits
+them through one emitter: either RFC-4180 CSV, whose header row is the
+first record's keys, or a single JSON object with a ``records`` array.
+Human output uses 6 significant digits by default; ``--full-precision``
+switches to 17-digit round-trip floats; the ``constants`` command always
+prints at least 15.  Absent values are empty CSV cells / JSON nulls,
+never 0.
 
 Exit codes: 0 success, 1 domain error, 2 solver failure, 64 usage error.
 Output is built in full before printing, so a failure never emits a
@@ -27,7 +29,7 @@ import json
 import math
 import re
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .core import (
     BaseParameter,
@@ -81,18 +83,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _nonneg_float(text: str) -> float:
-    v = float(text)
-    if math.isnan(v) or v < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a real >= 0, got {text!r}")
-    return v
+def _real(op: str, name: str) -> Callable[[str], float]:
+    """argparse type for a real ``op`` 0, where ``op`` is ">=" or ">"."""
+
+    def parse(text: str) -> float:
+        v = float(text)
+        if not (v > 0.0 if op == ">" else v >= 0.0):  # nan fails both
+            raise argparse.ArgumentTypeError(f"expected a real {op} 0, got {text!r}")
+        return v
+
+    parse.__name__ = name  # argparse's "invalid <name> value" when float() fails
+    return parse
 
 
-def _pos_float(text: str) -> float:
-    v = float(text)
-    if math.isnan(v) or v <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a real > 0, got {text!r}")
-    return v
+_nonneg_float = _real(">=", "_nonneg_float")
+_pos_float = _real(">", "_pos_float")
 
 
 def _steps(text: str) -> int:
@@ -131,13 +136,7 @@ def _jsonable(value: Any, digits: int) -> Any:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def _emit(
-    command: str,
-    columns: list[str],
-    records: list[dict[str, Any]],
-    fmt: str,
-    digits: int,
-) -> str:
+def _emit(command: str, records: list[dict[str, Any]], fmt: str, digits: int) -> str:
     if fmt == "json":
         payload = {
             "command": command,
@@ -146,51 +145,47 @@ def _emit(
         return json.dumps(payload, allow_nan=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(records[0])  # the header: the first record's keys
     for rec in records:
-        writer.writerow([_cell(rec.get(col), digits) for col in columns])
+        writer.writerow([_cell(value, digits) for value in rec.values()])
     return buf.getvalue().rstrip("\n")
-
-
-def _digits(args: argparse.Namespace, default: int = 6) -> int:
-    return 17 if args.full_precision else default
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_constants(args: argparse.Namespace) -> str:
+def _cmd_constants(args: argparse.Namespace) -> list[dict[str, Any]]:
     c = critical_constants()
-    record = {
-        "q": c.q,
-        "sinh_q": c.sinh_q,
-        "a_min": c.a_min,
-        "a_max": c.a_max,
-        "x_dagger": c.x_dagger,
-    }
-    return _emit(
-        "constants", list(record), [record], args.format, _digits(args, default=15)
-    )
+    return [
+        {
+            "q": c.q,
+            "sinh_q": c.sinh_q,
+            "a_min": c.a_min,
+            "a_max": c.a_max,
+            "x_dagger": c.x_dagger,
+        }
+    ]
 
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> list[dict[str, Any]]:
     base = BaseParameter(args.a)
     outcome = classify(base)
-    record: dict[str, Any] = {
-        "a": base.a,
-        "classification": outcome.tag.value,
-        "root": outcome.root,
-        "x1_lo": None,
-        "x1_hi": None,
-        "x2_lo": None,
-        "x2_hi": None,
-        "by_convention": outcome.by_convention,
-    }
+    x1_lo = x1_hi = x2_lo = x2_hi = None
     if outcome.brackets is not None:
-        b1, b2 = outcome.brackets
-        record.update(x1_lo=b1.lo, x1_hi=b1.hi, x2_lo=b2.lo, x2_hi=b2.hi)
-    return _emit("classify", list(record), [record], args.format, _digits(args))
+        (x1_lo, x1_hi, _), (x2_lo, x2_hi, _) = outcome.brackets
+    return [
+        {
+            "a": base.a,
+            "classification": outcome.tag.value,
+            "root": outcome.root,
+            "x1_lo": x1_lo,
+            "x1_hi": x1_hi,
+            "x2_lo": x2_lo,
+            "x2_hi": x2_hi,
+            "by_convention": outcome.by_convention,
+        }
+    ]
 
 
 def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | None:
@@ -210,108 +205,82 @@ def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | Non
     return all(abs(s - r.x) <= 1e-6 for s, r in zip(scan.refined_roots, report.roots))
 
 
-def _cmd_solve(args: argparse.Namespace) -> str:
+def _cmd_solve(args: argparse.Namespace) -> list[dict[str, Any]]:
     base = BaseParameter(args.a)
     report = solve_all(base) if args.tol is None else solve_all(base, args.tol)
-    roots = report.roots
+    # (x, residual, iterations, bracket) of each root, all None for one it lacks
+    absent = (None,) * 4
+    (x1, res1, it1, _), (x2, res2, it2, _) = (*report.roots, absent, absent)[:2]
     record: dict[str, Any] = {
         "a": base.a,
         "classification": report.classification.tag.value,
-        "x1": roots[0].x if roots else None,
-        "x2": roots[1].x if len(roots) > 1 else None,
-        "x1_residual": roots[0].residual if roots else None,
-        "x2_residual": roots[1].residual if len(roots) > 1 else None,
-        "x1_iterations": roots[0].iterations if roots else None,
-        "x2_iterations": roots[1].iterations if len(roots) > 1 else None,
+        "x1": x1,
+        "x2": x2,
+        "x1_residual": res1,
+        "x2_residual": res2,
+        "x1_iterations": it1,
+        "x2_iterations": it2,
     }
     if args.verify:
         record["verified"] = _verify_against_scan(base, report)
-    return _emit("solve", list(record), [record], args.format, _digits(args))
+    return [record]
 
 
-def _cmd_bounds(args: argparse.Namespace) -> str:
+def _cmd_bounds(args: argparse.Namespace) -> list[dict[str, Any]]:
     base = BaseParameter(args.a)
     outcome = classify(base)
-    record: dict[str, Any] = {
-        "a": base.a,
-        "classification": outcome.tag.value,
-        "x1_lo": None,
-        "x1_hi": None,
-        "x2_lo_initial": None,
-        "x2_hi_initial": None,
-        "x2_lo_refined": None,
-        "x2_hi_refined": None,
-    }
-    if outcome.tag is ClassificationTag.TWO_ROOTS:
-        b1, b2 = outcome.brackets
-        record.update(
-            x1_lo=b1.lo, x1_hi=b1.hi, x2_lo_initial=b2.lo, x2_hi_initial=b2.hi
-        )
+    x1_lo = x1_hi = x2_lo = x2_hi = refined_lo = refined_hi = None
+    if outcome.brackets is not None:
+        (x1_lo, x1_hi, _), (x2_lo, x2_hi, _) = outcome.brackets
         if args.x1 is not None:
-            refined = bounds_x2_refined(base, args.x1)
-            record.update(x2_lo_refined=refined.lo, x2_hi_refined=refined.hi)
-    return _emit("bounds", list(record), [record], args.format, _digits(args))
+            refined_lo, refined_hi, _ = bounds_x2_refined(base, args.x1)
+    return [
+        {
+            "a": base.a,
+            "classification": outcome.tag.value,
+            "x1_lo": x1_lo,
+            "x1_hi": x1_hi,
+            "x2_lo_initial": x2_lo,
+            "x2_hi_initial": x2_hi,
+            "x2_lo_refined": refined_lo,
+            "x2_hi_refined": refined_hi,
+        }
+    ]
 
 
-def _table_records() -> list[dict[str, Any]]:
+def _cmd_table(args: argparse.Namespace) -> list[dict[str, Any]]:
+    """Roots and x2 brackets of TABLE_BASES.  Out of regime the formal x2
+    bounds (x*, 2x* - 2) still evaluate, with lo > hi signalling that no root
+    exists: CSV flags them in its ``inverted`` column, JSON nests them under
+    ``formal_bounds``."""
     records = []
     for a in TABLE_BASES:
         base = BaseParameter(a)
         report = solve_all(base)
-        outcome = report.classification
-        record: dict[str, Any] = {
-            "a": a,
-            "classification": outcome.tag.value,
-            "x1": None,
-            "x2": None,
-            "x2_lo_initial": None,
-            "x2_hi_initial": None,
-            "x2_lo_refined": None,
-            "x2_hi_refined": None,
-            "inverted": False,
-        }
-        if outcome.tag is ClassificationTag.TWO_ROOTS:
-            x1, x2 = (r.x for r in report.roots)
-            _, initial = outcome.brackets
-            refined = bounds_x2_refined(base, x1)
-            record.update(
-                x1=x1,
-                x2=x2,
-                x2_lo_initial=initial.lo,
-                x2_hi_initial=initial.hi,
-                x2_lo_refined=refined.lo,
-                x2_hi_refined=refined.hi,
-            )
+        tag = report.classification.tag
+        inverted = tag is not ClassificationTag.TWO_ROOTS
+        x1 = x2 = refined_lo = refined_hi = None
+        if inverted:
+            lo = x_star(base)
+            hi = 2.0 * lo - 2.0
         else:
-            # out of regime the formal expressions (x*, 2x* - 2) still
-            # evaluate, with lo > hi signalling that no root exists
-            xs = x_star(base)
-            record.update(
-                x2_lo_initial=xs, x2_hi_initial=2.0 * xs - 2.0, inverted=True
-            )
-        records.append(record)
+            x1, x2 = (r.x for r in report.roots)
+            _, (lo, hi, _) = report.classification.brackets
+            refined_lo, refined_hi, _ = bounds_x2_refined(base, x1)
+        head = {"a": a, "classification": tag.value, "x1": x1, "x2": x2}
+        initial = {"x2_lo_initial": lo, "x2_hi_initial": hi}
+        refined = {"x2_lo_refined": refined_lo, "x2_hi_refined": refined_hi}
+        if args.format == "csv":
+            records.append({**head, **initial, **refined, "inverted": inverted})
+        elif inverted:
+            formal = {**initial, "inverted": True}
+            records.append({**head, **refined, "formal_bounds": formal})
+        else:
+            records.append({**head, **initial, **refined})
     return records
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
-    records = _table_records()
-    columns = list(records[0])
-    if args.format == "json":
-        shaped = []
-        for rec in records:
-            rec = dict(rec)
-            if rec.pop("inverted"):
-                rec["formal_bounds"] = {
-                    "x2_lo_initial": rec.pop("x2_lo_initial"),
-                    "x2_hi_initial": rec.pop("x2_hi_initial"),
-                    "inverted": True,
-                }
-            shaped.append(rec)
-        return _emit("table", columns, shaped, "json", _digits(args))
-    return _emit("table", columns, records, "csv", _digits(args))
-
-
-def _cmd_curve(args: argparse.Namespace) -> str:
+def _cmd_curve(args: argparse.Namespace) -> list[dict[str, Any]]:
     base = BaseParameter(args.a)
     if base.a == 0.0:
         raise ValueError("curve is undefined for a = 0")
@@ -329,7 +298,7 @@ def _cmd_curve(args: argparse.Namespace) -> str:
         else:
             y = f_value(base, x)
         records.append({"x": x, y_name: y})
-    return _emit("curve", ["x", y_name], records, args.format, _digits(args))
+    return records
 
 
 def _sweep_record(base: BaseParameter) -> dict[str, Any]:
@@ -357,20 +326,13 @@ def _sweep_record(base: BaseParameter) -> dict[str, Any]:
     return record
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
+def _cmd_sweep(args: argparse.Namespace) -> list[dict[str, Any]]:
     n = args.steps
     step = _range_width(args.a_lo, args.a_hi, "a_lo", "a_hi") / (n - 1)
-    records = []
-    for i in range(n):
-        a = args.a_lo + i * step if i < n - 1 else args.a_hi
-        records.append(_sweep_record(BaseParameter(a)))
-    return _emit(
-        "sweep",
-        ["a", "classification", "status", "x1", "x2"],
-        records,
-        args.format,
-        _digits(args),
-    )
+    return [
+        _sweep_record(BaseParameter(args.a_lo + i * step if i < n - 1 else args.a_hi))
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -385,50 +347,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help="output format"
-        )
-        p.add_argument(
-            "--full-precision",
-            action="store_true",
-            help="emit 17-digit round-trip floats",
-        )
+    def command(name: str, func: Callable[..., Any], summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("constants", help="critical constants q, a_min, a_max, x_dagger")
-    add_common(p)
-    p.set_defaults(func=_cmd_constants)
+    a_spec: dict[str, Any] = dict(type=_nonneg_float, required=True, help="base a >= 0")
 
-    p = sub.add_parser("classify", help="root-count classification for a base")
-    p.add_argument("--a", type=_nonneg_float, required=True, help="base a >= 0")
-    add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    command("constants", _cmd_constants, "critical constants q, a_min, a_max, x_dagger")
 
-    p = sub.add_parser("solve", help="solve all roots for a base")
-    p.add_argument("--a", type=_nonneg_float, required=True, help="base a >= 0")
+    p = command("classify", _cmd_classify, "root-count classification for a base")
+    p.add_argument("--a", **a_spec)
+
+    p = command("solve", _cmd_solve, "solve all roots for a base")
+    p.add_argument("--a", **a_spec)
     p.add_argument("--tol", type=_pos_float, help="absolute residual tolerance")
     p.add_argument(
         "--verify",
         action="store_true",
         help="cross-check the roots against a brute-force grid scan",
     )
-    add_common(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("bounds", help="analytic root brackets for a base")
-    p.add_argument("--a", type=_nonneg_float, required=True, help="base a >= 0")
+    p = command("bounds", _cmd_bounds, "analytic root brackets for a base")
+    p.add_argument("--a", **a_spec)
     p.add_argument(
         "--x1", type=float, help="known first root; unlocks the refined x2 bracket"
     )
-    add_common(p)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("table", help="reference table of roots and bounds")
-    add_common(p)
-    p.set_defaults(func=_cmd_table)
+    command("table", _cmd_table, "reference table of roots and bounds")
 
-    p = sub.add_parser("curve", help="sample (x, f(x)) for plotting")
-    p.add_argument("--a", type=_nonneg_float, required=True, help="base a > 0")
+    p = command("curve", _cmd_curve, "sample (x, f(x)) for plotting")
+    p.add_argument("--a", **{**a_spec, "help": "base a > 0"})
     p.add_argument("--x-lo", type=float, required=True)
     p.add_argument("--x-hi", type=float, required=True)
     p.add_argument("--steps", type=_steps, default=101)
@@ -437,16 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit 2*coth(x*ln a) instead of f(x)",
     )
-    add_common(p)
-    p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("sweep", help="classification and roots across a base range")
+    p = command("sweep", _cmd_sweep, "classification and roots across a base range")
     p.add_argument("--a-lo", type=_pos_float, required=True)
     p.add_argument("--a-hi", type=_pos_float, required=True)
     p.add_argument("--steps", type=_steps, default=101)
-    add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
+    for p in sub.choices.values():  # after each command's own options
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format"
+        )
+        p.add_argument(
+            "--full-precision",
+            action="store_true",
+            help="emit 17-digit round-trip floats",
+        )
     return parser
 
 
@@ -460,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        output = args.func(args)
+        digits = 17 if args.full_precision else 15 if args.command == "constants" else 6
+        output = _emit(args.command, args.func(args), args.format, digits)
     except SystemExit as exc:  # argparse usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

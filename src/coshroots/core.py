@@ -214,19 +214,21 @@ class _RootBracketFields(NamedTuple):
 
 
 class RootBracket(_RootBracketFields):
-    """Closed interval guaranteed to contain exactly one root."""
+    """Closed interval with finite ends, guaranteed to contain exactly one
+    root."""
 
     __slots__ = ()
 
     def __new__(
         cls, lo: float, hi: float, provenance: BracketProvenance
     ) -> RootBracket:
-        if not (lo < hi):
-            raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        if not -math.inf < lo < hi < math.inf:
+            problem = "finite ends" if lo < hi else "lo < hi"
+            raise ValueError(f"bracket requires {problem}, got [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi, provenance))
 
     @classmethod
-    def _make(cls, iterable) -> RootBracket:  # so that _replace checks lo < hi
+    def _make(cls, iterable) -> RootBracket:  # so that _replace checks the ends
         return cls(*iterable)
 
     @property

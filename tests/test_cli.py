@@ -427,10 +427,54 @@ class TestExitCodesAndFormats:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
-    def test_csv_is_rfc4180_parseable(self, capsys):
-        _, out, _ = run_cli(capsys, "table")
+    # every command's argv, and the sweep status it must reach (None: no sweep)
+    CSV_CASES = {
+        "constants": (("constants",), None),
+        "classify-two-roots": (("classify", "--a", "0.9"), None),
+        "classify-zero": (("classify", "--a", "0"), None),
+        "solve-no-root": (("solve", "--a", "1.5"), None),
+        "solve-two-roots": (("solve", "--a", "0.9"), None),
+        "solve-verify": (("solve", "--a", "0.9", "--verify"), None),
+        "bounds": (("bounds", "--a", "1.08"), None),
+        "bounds-x1": (("bounds", "--a", "1.08", "--x1", "2.0243"), None),
+        "curve": (("curve", "--a", "0.9", "--x-lo", "0", "--x-hi", "40"), None),
+        "curve-coth": (
+            ("curve", "--a", "0.9", "--x-lo", "-5", "--x-hi", "5", "--coth-view"),
+            None,
+        ),
+        "sweep-ok": (("sweep", "--a-lo", "0.8", "--a-hi", "0.9"), "ok"),
+        "sweep-no-root": (  # no_root rows between ok rows
+            ("sweep", "--a-lo", "0.5", "--a-hi", "1.5", "--steps", "5"),
+            "no_root",
+        ),
+        "sweep-x2-overflow": (
+            ("sweep", "--a-lo", "0.9999999995", "--a-hi", "1.0000000005"),
+            "x2_overflow",
+        ),
+        "sweep-solver-error": (
+            ("sweep", "--a-lo", "0.999", "--a-hi", "1.001", "--steps", "5"),
+            "solver_error",
+        ),
+        "table": (("table",), None),
+    }
+
+    @pytest.mark.parametrize(
+        "argv, status", list(CSV_CASES.values()), ids=list(CSV_CASES)
+    )
+    def test_csv_is_rfc4180_parseable(self, capsys, argv, status):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2
         assert len({len(r) for r in rows}) == 1  # rectangular
+        if status is not None:
+            assert status in {rec["status"] for rec in parse_csv(out)}
+        if argv[0] != "table":  # table's JSON nests its inverted formal bounds
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK
+            records = json.loads(out)["records"]
+            assert len(records) == len(rows) - 1
+            assert all(list(rec) == rows[0] for rec in records)
 
     def test_json_top_level_shape(self, capsys):
         for args in (["constants"], ["solve", "--a", "0.9"], ["table"]):

@@ -413,6 +413,19 @@ class TestRootBracket:
         with pytest.raises(ValueError, match="lo < hi"):
             b._replace(hi=1.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(21.0, math.inf), (-math.inf, 21.0), (-math.inf, math.inf)]
+    )
+    def test_infinite_ends_are_rejected(self, lo, hi):
+        # an infinite end used to reach bisect, whose first midpoint equals it,
+        # so it returned that end as a root
+        message = rf"^bracket requires finite ends, got \[{lo}, {hi}\]$"
+        scan = BracketProvenance.ORACLE_SCAN
+        with pytest.raises(ValueError, match=message):
+            RootBracket(lo, hi, scan)
+        with pytest.raises(ValueError, match=message):
+            RootBracket(2.0, 22.0, scan)._replace(lo=lo, hi=hi)
+
 
 # classify(BaseParameter(0.9)) as the frozen dataclasses printed it
 CLASSIFY_09_REPR = (
