@@ -41,7 +41,7 @@ from .core import (
     f_value,
     x_star,
 )
-from .oracle import min_scan, scan_roots
+from .oracle import _power_form, min_scan, scan_roots
 from .solvers import (
     SolveReport,
     SolverError,
@@ -60,11 +60,12 @@ EXIT_USAGE = 64
 # Table bases shipped as the reference fixture.
 TABLE_BASES = (0.6, 0.75, 0.9, 1.08, 1.39)
 
-# --verify grids [1, x_hi] at the spacing _VERIFY_GRID points give
-# [-10, x_hi], so with at most _VERIFY_GRID points.  Below x = 1 the power
-# form is at least 2 - x >= 1, since a**x + a**-x >= 2 (AM-GM): no root
-# and no sign change lies there.
+# --verify scans windows of [1, x_hi] never coarser than the grid of
+# _VERIFY_GRID points over [-10, x_hi], each +-(_VERIFY_WINDOW + 1/2) steps
+# around a root or the minimizer.  Below x = 1 the power form is at least
+# 2 - x >= 1, since a**x + a**-x >= 2 (AM-GM): no root lies there.
 _VERIFY_GRID = 100_001
+_VERIFY_WINDOW = 64
 # The sweep's x2_overflow cutoff on 2x* - 2, the upper end of x2's initial
 # bracket (x2 itself may lie well below it).
 _X2_OVERFLOW_LIMIT = 1e9
@@ -189,20 +190,52 @@ def _cmd_classify(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _verify_against_scan(base: BaseParameter, report: SolveReport) -> bool | None:
+    """Whether the oracle, scanning short windows of [1, x_hi], sees the
+    reported roots and no other.
+
+    The power form g is convex (g'' = ln(a)**2 * (a**x + a**-x)), so its
+    negative set is one interval, and a grid minimum strictly inside a
+    window (or at x = 1) is its minimum on [1, inf) to within a step: a
+    window's verdict holds on all of [1, x_hi].  An unclipped window is
+    offset half a step from the point it is built around, so a root never
+    falls on a grid point, where the grid's 1/a**x and the bisection's
+    a**-x may disagree in sign.
+    """
     if base.a == 0.0:
         return None  # the scan cannot evaluate f at a = 0
     tag = report.classification.tag
     x_hi = 10.0  # a unit base's far root, beyond 1e13, is not reported
     if tag is not ClassificationTag.UNIT_BASE:
         x_hi = max(10.0, 3.0 * x_star(base))
-    n = 1 + math.ceil((x_hi - 1.0) / ((x_hi + 10.0) / (_VERIFY_GRID - 1)))
-    if tag is ClassificationTag.TANGENT_ROOT:
-        _, f_min = min_scan(base, 1.0, x_hi, n)
-        return abs(f_min) <= 1e-6
-    scan = scan_roots(base, 1.0, x_hi, n)
-    if len(scan.refined_roots) != len(report.roots):
+    # Steps of (x_hi + 10)/_VERIFY_GRID, a hair under h, make an unclipped
+    # window exactly 2*_VERIFY_WINDOW + 1 steps of 1 + ceil(width/h) points;
+    # a clipped or merged window's step is at most h.
+    h = (x_hi + 10.0) / (_VERIFY_GRID - 1)
+    half = (_VERIFY_WINDOW + 0.5) * (x_hi + 10.0) / _VERIFY_GRID
+    if tag in (ClassificationTag.TANGENT_ROOT, ClassificationTag.NO_ROOT):
+        centre = report.roots[0].x if report.roots else x_star(base)
+        lo = max(1.0, centre - half)
+        hi = lo + 2.0 * half
+        x, f_min = min_scan(base, lo, hi, 1 + math.ceil((hi - lo) / h))
+        if not (lo < x < hi or x == lo == 1.0):
+            return False  # the minimum may lie outside the window
+        return abs(f_min) <= 1e-6 if report.roots else f_min > 0.0
+    windows: list[tuple[float, float]] = []
+    for root in report.roots:
+        lo, hi = max(1.0, root.x - half), min(x_hi, root.x + half)
+        if windows and lo <= windows[-1][1]:
+            lo = windows.pop()[0]
+        windows.append((lo, hi))
+    found: list[float] = []
+    for lo, hi in windows:
+        found += scan_roots(base, lo, hi, 1 + math.ceil((hi - lo) / h)).refined_roots
+    if len(found) != len(report.roots) or not all(
+        abs(s - r.x) <= 1e-6 for s, r in zip(found, report.roots)
+    ):
         return False
-    return all(abs(s - r.x) <= 1e-6 for s, r in zip(scan.refined_roots, report.roots))
+    # Two roots are all a convex g has.  One (the unit band): g(1) > 0, so
+    # g(x_hi) < 0 leaves no room for a second in [1, x_hi].
+    return len(found) == 2 or _power_form(base.a, x_hi) < 0.0
 
 
 def _cmd_solve(args: argparse.Namespace) -> list[dict[str, Any]]:

@@ -9,13 +9,6 @@ to 0 gives inf, as a**-x itself does there.  It deliberately avoids the
 cosh/log formulation, the classification logic, and every analytic
 bound, so agreement with the solvers is meaningful evidence.
 
-Each thread keeps its grid arrays (the index, x, a**x and f, float64):
-its first scan of up to 2**18 points allocates them at 2**18 points, 8 MiB,
-and every later grid up to that size runs on their leading points, so a
-scan allocates no grid-length float memory.  The arrays live as long as
-the thread.  A grid of more than 2**18 points is allocated per call.
-Concurrent scans from several threads are safe.
-
 Tangent (double) roots produce no sign change and are invisible to the
 scan; use min_scan for those (the function is convex, so the grid minimum
 approximates the minimizer).
@@ -24,7 +17,6 @@ approximates the minimizer).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +28,6 @@ __all__ = ["ScanResult", "scan_roots", "min_scan"]
 # Relative width and step budget for bisecting each sign-change interval.
 _X_TOL = 1e-12
 _MAX_ITER = 200
-
-# Grids of up to this many points keep their arrays per thread.
-_KEPT_GRID_MAX = 2**18
-_kept = threading.local()
 
 
 @dataclass(frozen=True)
@@ -60,25 +48,6 @@ def _power_form(a: float, x: float) -> float:
         return math.inf
 
 
-def _workspace(grid_size: int) -> tuple[np.ndarray, ...]:
-    """Four float64 arrays of grid_size points: 0, 1, ..., n - 1, then
-    scratch for xs, a**x and f.
-
-    Up to _KEPT_GRID_MAX points they are views of the first grid_size
-    points of arrays the calling thread allocates once, at _KEPT_GRID_MAX
-    points, and keeps.  They are never regrown or freed: freeing blocks of
-    this size raises glibc's mmap and trim thresholds, which changes how
-    fast the rest of the process gets fresh memory.
-    """
-    if grid_size > _KEPT_GRID_MAX:
-        return (np.arange(grid_size, dtype=np.float64), *np.empty((3, grid_size)))
-    ws = getattr(_kept, "ws", None)
-    if ws is None:
-        n = _KEPT_GRID_MAX
-        ws = _kept.ws = (np.arange(n, dtype=np.float64), *np.empty((3, n)))
-    return tuple(a[:grid_size] for a in ws)
-
-
 def _grid(
     base: BaseParameter, x_lo: float, x_hi: float, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +55,7 @@ def _grid(
 
     xs has the bits np.linspace(x_lo, x_hi, grid_size) would give.  The f
     array first holds the base, filled in, for np.power: the bits of a
-    scalar base at about half the cost, in the same four arrays.  Both
-    results may be the thread's kept arrays, valid until its next _grid call.
+    scalar base at about half the cost, in the same four arrays.
     """
     if base.a <= 0.0:
         raise ValueError("scan requires a > 0")
@@ -95,7 +63,8 @@ def _grid(
     width = _range_width(x_lo, x_hi, "x_lo", "x_hi")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    idx, xs, p, fv = _workspace(grid_size)
+    idx = np.arange(grid_size, dtype=np.float64)
+    xs, p, fv = np.empty((3, grid_size))
     step = width / (grid_size - 1)
     if step == 0.0:
         # A subnormal span: linspace divides before it multiplies here.

@@ -811,9 +811,8 @@ def _verdict_on_old_grid(base, report):
     )
 
 
-def test_verify_grid_keeps_old_spacing_and_verdict(monkeypatch):
-    """From x = 1, --verify's grid is never coarser than 100 001 points
-    over [-10, x_hi], and it gives that grid's verdict."""
+def _spy_oracle(monkeypatch):
+    """Patch cli's oracle bindings to record each call's (x_lo, x_hi, n)."""
     grids = []
 
     def spy(scan):
@@ -825,19 +824,105 @@ def test_verify_grid_keeps_old_spacing_and_verdict(monkeypatch):
 
     monkeypatch.setattr(cli, "scan_roots", spy(scan_roots))
     monkeypatch.setattr(cli, "min_scan", spy(min_scan))
+    return grids
+
+
+def test_verify_grid_keeps_old_spacing_and_verdict(monkeypatch):
+    """--verify scans at most two short windows of [1, x_hi], each never
+    coarser than 100 001 points over [-10, x_hi], and it gives that
+    grid's verdict."""
+    grids = _spy_oracle(monkeypatch)
     # The batch holds 0 and 1 and both edges too.
     bases = _bench_verify_bases(1, 0, 200) + _edge_bases(20, 7)
     for a in bases:
         base = BaseParameter(a)
         report = solve_all(base)
         want = _verdict_on_old_grid(base, report)
+        grids.clear()
         assert cli._verify_against_scan(base, report) == want, a
         assert want is not False, a
-    assert len(grids) == len(bases) - 1  # none at a = 0
-    for x_lo, x_hi, n in grids:
-        assert x_lo == 1.0
-        assert n <= 100_001
-        assert (x_hi - x_lo) / (n - 1) <= (x_hi + 10.0) / 100_000
+        if base.a == 0.0:
+            assert grids == []
+        else:
+            _assert_windows(grids, base, report)
+
+
+def _assert_windows(grids, base, report):
+    """At most two oracle calls, each a window of [1, x_hi] of a few
+    hundred points, never coarser than 100 001 points over [-10, x_hi]."""
+    tag = report.classification.tag.value
+    x_hi = 10.0 if tag == "unit_base" else max(10.0, 3.0 * x_star(base))
+    # A return to the full grid (45 001 points or more) fails here.
+    assert 1 <= len(grids) <= 2, base.a
+    for lo, hi, n in grids:
+        assert 1.0 <= lo < hi <= x_hi, base.a
+        assert n <= 300, base.a
+        assert (hi - lo) / (n - 1) <= (x_hi + 10.0) / 100_000, base.a
+
+
+class TestVerifyWindows:
+    """The windowed verdict at the bases where a window is easiest to get
+    wrong, and its new branches under mutation."""
+
+    @pytest.mark.parametrize(
+        "a",
+        # no root, x* < 1: the window is clamped to start at x = 1
+        [0.05, 5.0, 50.0]
+        # the unit band: one reported root and g(x_hi) < 0
+        + [1.0, 1.0 + 1e-13, 1.0 - 1e-13]
+        # two roots, |ln a| = 4e-3: x1's window is clipped at x = 1, x2 ~ 1885
+        + [0.9960079893439915, 1.004008010677342]
+        # the 8 doubles nearest each edge
+        + _edge_bases(0, 0),
+        ids=repr,
+    )
+    def test_verdict_matches_old_grid(self, monkeypatch, a):
+        grids = _spy_oracle(monkeypatch)
+        base = BaseParameter(a)
+        report = solve_all(base)
+        assert _verdict_on_old_grid(base, report) is True
+        grids.clear()
+        assert cli._verify_against_scan(base, report) is True
+        _assert_windows(grids, base, report)
+
+    @pytest.mark.parametrize("a", ["0.7875304801074394", "1.0278534884848378"])
+    def test_root_off_grid_points(self, capsys, a):
+        """A window centred on a root puts it on a grid point, where the
+        grid's 1/a**x and the bisection's a**-x disagree in sign at these
+        bases; the half-step offset keeps them verified."""
+        assert _verified(capsys, a) is True
+
+    @pytest.mark.parametrize("a", ["1.5", "0.7179382548412651"])
+    def test_minimum_at_window_edge_fails(self, capsys, monkeypatch, a):
+        """A grid minimum at a window's edge (not at x = 1) does not bound
+        g's minimum, on the no-root path and on the tangent path."""
+        assert _verified(capsys, a) is True
+        real = cli.min_scan
+
+        def at_edge(base, x_lo, x_hi, n):
+            _, f_min = real(base, x_lo, x_hi, n)
+            return x_hi, f_min
+
+        monkeypatch.setattr(cli, "min_scan", at_edge)
+        assert _verified(capsys, a) is False
+
+    def test_moved_x2_fails(self):
+        base = BaseParameter(0.9)
+        report = solve_all(base)
+        assert cli._verify_against_scan(base, report) is True
+        x2 = report.roots[1]
+        report = report._replace(roots=(report.roots[0], x2._replace(x=x2.x + 1e-3)))
+        assert cli._verify_against_scan(base, report) is False
+
+    def test_unit_band_needs_g_negative_at_x_hi(self, capsys, monkeypatch):
+        assert _verified(capsys, "1.0000000000005") is True
+        real = cli._power_form
+
+        def positive_at_x_hi(a, x):
+            return 1.0 if x == 10.0 else real(a, x)
+
+        monkeypatch.setattr(cli, "_power_form", positive_at_x_hi)
+        assert _verified(capsys, "1.0000000000005") is False
 
 
 class TestSafetyPaths:

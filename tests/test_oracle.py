@@ -336,21 +336,14 @@ def _bits(arr):
     return np.asarray(arr, dtype=np.float64).view(np.int64)
 
 
-def _in_thread(fn):
-    """Run fn() in a new thread and return its result."""
-    with ThreadPoolExecutor(1) as pool:
-        return pool.submit(fn).result(timeout=60)
-
-
 class TestWorkspace:
-    """_grid writes into arrays each thread keeps; xs must stay linspace."""
+    """_grid's arrays: xs must stay linspace, and threads share none."""
 
     def test_xs_is_linspace_bit_for_bit(self):
         rng = np.random.default_rng(SEED)
         base = BaseParameter(0.9)
-        # Sizes alternate, so the first range of each rebuilds the arrays
-        # and the rest reuse them.  On [-10, 0.1], (n - 1)*step - 10 misses
-        # 0.1 by an ulp, so the last point must be set to x_hi.
+        # On [-10, 0.1], (n - 1)*step - 10 misses 0.1 by an ulp, so the
+        # last point must be set to x_hi.
         for n in (2, 100_001, 3, 1000) * 10:
             ranges = [(-10.0, 0.1)]
             for _ in range(3):
@@ -371,44 +364,6 @@ class TestWorkspace:
         xs, fv = oracle._grid(BaseParameter(0.9), 0.0, 5e-324, n)
         assert np.array_equal(_bits(xs), _bits(np.linspace(0.0, 5e-324, n)))
         assert np.array_equal(fv, np.full(n, 2.0))
-
-    def test_grid_above_cap_is_not_kept(self):
-        base = BaseParameter(0.9)
-        n = oracle._KEPT_GRID_MAX + 1
-        x_hi = max(10.0, 3.0 * x_star(base))
-
-        def scan_fresh_thread():
-            result = scan_roots(base, -10.0, x_hi, n)
-            return result, getattr(oracle._kept, "ws", None)
-
-        def scan_after_kept_grid():
-            scan_roots(base, -10.0, x_hi, 1000)
-            scan_roots(base, -10.0, x_hi, n)
-            return [len(a) for a in oracle._kept.ws]
-
-        result, kept = _in_thread(scan_fresh_thread)
-        assert result == _reference_scan(base, -10.0, x_hi, n)
-        assert len(result.refined_roots) == 2
-        assert kept is None
-        assert _in_thread(scan_after_kept_grid) == [oracle._KEPT_GRID_MAX] * 4
-
-    def test_kept_arrays_serve_every_size_up_to_cap(self):
-        base = BaseParameter(0.9)
-        x_hi = max(10.0, 3.0 * x_star(base))
-        sizes = (1000, 45_001, 100_001, oracle._KEPT_GRID_MAX)
-
-        def scan_sizes():
-            out = []
-            for n in sizes:
-                result = scan_roots(base, 1.0, x_hi, n)
-                out.append((result, oracle._kept.ws))
-            return out
-
-        scans = _in_thread(scan_sizes)
-        first = scans[0][1]
-        for n, (result, ws) in zip(sizes, scans):
-            assert all(a is b for a, b in zip(ws, first))
-            assert result == _reference_scan(base, 1.0, x_hi, n)
 
     def test_threads_match_serial(self):
         rng = np.random.default_rng(SEED)
